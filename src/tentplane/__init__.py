@@ -5,31 +5,13 @@ kneading sequences, signed lexicographic comparison, admissibility,
 landing indices and arc projections, a ternary height chart for left
 tails, planar scenes with semicircular joins, and a stack of local
 collapse maps with runtime certificates in place of proofs.
+
+The package root exports the names the scene pipeline, the command line
+and the acceptance suite use; helpers such as ``plex_compare``,
+``orbit_compare`` or ``stage_map`` are imported from their submodules.
 """
-from .cantor import (
-    CantorCoordinate,
-    block_midpoint,
-    cantor_coordinate,
-    compare_tails,
-    parse_ternary,
-)
-from .arcs import (
-    TAU_INF,
-    Join,
-    Projection,
-    arc_projection,
-    boundary_pairs,
-    flip_at,
-    identify_partner,
-    match_indices,
-    orbit_compare,
-    resolve_x,
-    side_of_level,
-    tau_left,
-    tau_right,
-    window_projection,
-    window_taus,
-)
+from .cantor import block_midpoint, cantor_coordinate, compare_tails
+from .arcs import arc_projection, boundary_pairs, resolve_x
 from .errors import (
     AmbiguousAtDepth,
     ChartOverflow,
@@ -38,103 +20,55 @@ from .errors import (
     MalformedStarPeriod,
     NotAdmissible,
     ParseError,
-    RankTie,
     TentplaneError,
     WrongContext,
 )
 from .glue import (
-    GlueRegion,
-    ProbeReport,
     accessibility_probe,
-    apply_gluing,
     build_glue_stack,
     cauchy_certificate,
-    cauchy_gap,
     ceiling_certificate,
     collapse_certificate,
     collapse_profile,
     displacement_certificate,
     fiber_collapse,
-    in_carved_region,
-    in_region,
-    moved_stages,
-    scene_samples,
-    stage_map,
     support_certificate,
 )
 from .kneading import (
     KneadingSequence,
     enumerate_cylinders,
-    is_admissible_right,
     is_admissible_tail,
     kneading_from_slope,
-    kneading_from_text,
-    modify_star,
-    tent,
-    tent_itinerary,
     validate_kneading,
 )
 from .scene import (
-    Scene,
     SceneJoin,
-    Segment,
     betweenness_check,
     build_scene,
-    scene_from_dict,
     scene_from_json,
-    scene_to_dict,
     scene_to_json,
     verify_noncrossing,
 )
-from .sequences import (
-    Comparison,
-    LeftTail,
-    Order,
-    RightSeq,
-    TwoSidedSeq,
-    compare_right,
-    ones,
-    parity,
-    parse_left,
-    parse_right,
-    parse_two_sided,
-    plex_compare,
-    plex_key,
-    shift_two_sided,
-    tails_equal_horizon,
-)
+from .sequences import LeftTail, RightSeq, parse_left, parse_right
 from .svg import render_scene
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousAtDepth",
-    "CantorCoordinate",
     "ChartOverflow",
-    "Comparison",
     "ConflictError",
-    "GlueRegion",
-    "Join",
     "KneadingSequence",
     "LeftTail",
     "MalformedSequence",
     "MalformedStarPeriod",
     "NotAdmissible",
-    "Order",
     "ParseError",
-    "ProbeReport",
-    "Projection",
-    "RankTie",
     "RightSeq",
-    "Scene",
     "SceneJoin",
-    "Segment",
-    "TAU_INF",
     "TentplaneError",
-    "TwoSidedSeq",
     "WrongContext",
     "accessibility_probe",
-    "apply_gluing",
     "arc_projection",
     "betweenness_check",
     "block_midpoint",
@@ -143,53 +77,22 @@ __all__ = [
     "build_scene",
     "cantor_coordinate",
     "cauchy_certificate",
-    "cauchy_gap",
     "ceiling_certificate",
     "collapse_certificate",
     "collapse_profile",
-    "compare_right",
     "compare_tails",
     "displacement_certificate",
     "enumerate_cylinders",
     "fiber_collapse",
-    "flip_at",
-    "identify_partner",
-    "in_carved_region",
-    "in_region",
-    "is_admissible_right",
     "is_admissible_tail",
     "kneading_from_slope",
-    "kneading_from_text",
-    "match_indices",
-    "modify_star",
-    "moved_stages",
-    "ones",
-    "orbit_compare",
-    "parity",
     "parse_left",
     "parse_right",
-    "parse_ternary",
-    "parse_two_sided",
-    "plex_compare",
-    "plex_key",
     "render_scene",
     "resolve_x",
-    "scene_from_dict",
     "scene_from_json",
-    "scene_samples",
-    "scene_to_dict",
     "scene_to_json",
-    "shift_two_sided",
-    "side_of_level",
-    "stage_map",
     "support_certificate",
-    "tails_equal_horizon",
-    "tau_left",
-    "tau_right",
-    "tent",
-    "tent_itinerary",
     "validate_kneading",
     "verify_noncrossing",
-    "window_projection",
-    "window_taus",
 ]

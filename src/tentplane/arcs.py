@@ -28,17 +28,14 @@ from math import lcm
 from typing import Optional
 
 from .errors import AmbiguousAtDepth, MalformedSequence
-from .kneading import C, KneadingSequence, is_admissible_right, is_admissible_tail, tent
+from .kneading import C, KneadingSequence, tent
 from .sequences import (
     Comparison,
     LeftTail,
     Order,
-    RightSeq,
-    TwoSidedSeq,
     compare_right,
     parity,
     plex_compare,
-    shift_two_sided,
     tails_equal_horizon,
 )
 from .cantor import compare_tails
@@ -83,21 +80,19 @@ def _match_data(tail: LeftTail, nu: KneadingSequence):
     return ms, pclass, inf
 
 
-def tau_right(tail: LeftTail, nu: KneadingSequence):
-    """Largest even-class match (right landing index); may be TAU_INF."""
-    ms, pc, inf = _match_data(tail, nu)
-    if 0 in inf:
-        return TAU_INF
-    return max(n for n in ms if pc[n] == 0)
+def _landing(tail: LeftTail, nu: KneadingSequence):
+    """Landing indices ``(tau_l, tau_r)`` from one match pass, followed by
+    the even-class matches and the odd-class matches above 1.
 
-
-def tau_left(tail: LeftTail, nu: KneadingSequence):
-    """Largest odd-class match above 1, TAU_INF, or None when there is none."""
+    tau_r is the largest even match, tau_l the largest odd one (None when
+    there is none); either is TAU_INF when its class matches forever.
+    """
     ms, pc, inf = _match_data(tail, nu)
-    if 1 in inf:
-        return TAU_INF
+    ev = [n for n in ms if pc[n] == 0]
     od = [n for n in ms if pc[n] == 1 and n > 1]
-    return max(od) if od else None
+    tr = TAU_INF if 0 in inf else max(ev)
+    tl = TAU_INF if 1 in inf else (max(od) if od else None)
+    return tl, tr, ev, od
 
 
 def orbit_compare(i: int, j: int, nu: KneadingSequence) -> Comparison:
@@ -132,11 +127,7 @@ class Projection:
 
 
 def arc_projection(tail: LeftTail, nu: KneadingSequence) -> Projection:
-    ms, pc, inf = _match_data(tail, nu)
-    ev = [n for n in ms if pc[n] == 0]
-    od = [n for n in ms if pc[n] == 1 and n > 1]
-    tr = TAU_INF if 0 in inf else max(ev)
-    tl = TAU_INF if 1 in inf else (max(od) if od else None)
+    tl, tr, ev, od = _landing(tail, nu)
     hi = ev[0]
     for n in ev[1:]:
         if _orbit_cmp_merge(n, hi, nu) is Order.LESS:
@@ -296,8 +287,8 @@ def boundary_pairs(
                 continue
             side = side_of_level(nu, m)
             if check_tau:
-                landing = tau_right if side == "right" else tau_left
-                if landing(a, nu) != m or landing(b, nu) != m:
+                k = 1 if side == "right" else 0
+                if _landing(a, nu)[k] != m or _landing(b, nu)[k] != m:
                     continue
             lo, hi = a, b
             if context is not None:
@@ -309,46 +300,3 @@ def boundary_pairs(
     out.sort(key=lambda j: (j.level, str(j.low)))
     return out
 
-
-def _flip_right_at(seq: RightSeq, k: int) -> RightSeq:
-    m = max(k + 1, len(seq.preperiod))
-    w = seq.expand(m)
-    rest = seq.shift(m)  # purely periodic from here
-    return RightSeq(w[:k] + _flip(w[k]) + w[k + 1 :], rest.period)
-
-
-def identify_partner(ts: TwoSidedSeq, nu: KneadingSequence, depth: int = 8):
-    """Find the slot whose flip gives the sequence glued to this one.
-
-    Scans slots by increasing distance from the dot (negative side
-    first: -1, 0, -2, 1, ...).  A slot qualifies when everything after
-    it reads exactly as nu and the flipped sequence is admissible.
-    Returns (slot, partner) or None.  With a truncated nu a slot whose
-    after-part merely agrees with nu to the validated depth raises
-    AmbiguousAtDepth instead of guessing.
-    """
-    order = []
-    for dist in range(1, depth + 1):
-        order.append(-dist)
-        if dist - 1 < depth:
-            order.append(dist - 1)
-    for k in order:
-        after = shift_two_sided(ts, k + 1).right
-        if nu.exact:
-            if compare_right(after, nu.seq).order is not Order.EQUAL:
-                continue
-        else:
-            d = int(nu.validated_depth)
-            if after.expand(d) != nu.expand(d):
-                continue
-            raise AmbiguousAtDepth(
-                f"slot {k}: tail agrees with nu to depth {d} but nu is truncated there",
-                depth=d,
-            )
-        if k >= 0:
-            cand = TwoSidedSeq(ts.left, _flip_right_at(ts.right, k))
-        else:
-            cand = TwoSidedSeq(flip_at(ts.left, -k), ts.right)
-        if is_admissible_tail(cand.left, nu) and is_admissible_right(cand.right, nu):
-            return k, cand
-    return None

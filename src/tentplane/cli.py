@@ -16,7 +16,6 @@ from .errors import (
     MalformedSequence,
     NotAdmissible,
     ParseError,
-    RankTie,
     TentplaneError,
     WrongContext,
 )
@@ -55,6 +54,27 @@ _CONFIG_KEYS = {
 }
 # flag dests mirrored into the merged options (L is spelled context there)
 _MERGE_KEYS = _CONFIG_KEYS - {"L"}
+_NUMBER_KEYS = {"slope": float, "x": float, "depth": int, "glue_stages": int}
+
+
+def _config_value(key: str, val):
+    """One config value in its option type; TypeError or ValueError when
+    it does not convert.  Text is parsed, JSON values must already fit."""
+    conv = _NUMBER_KEYS.get(key)
+    if conv is not None:
+        kinds = (str, int) if conv is int else (str, int, float)
+        if isinstance(val, bool) or not isinstance(val, kinds):
+            raise TypeError(key)
+        return conv(val)
+    if key == "tails":
+        if isinstance(val, str):
+            return [t.strip() for t in val.split(",") if t.strip()]
+        if isinstance(val, list) and all(isinstance(t, str) for t in val):
+            return val
+        raise TypeError(key)
+    if not isinstance(val, str):
+        raise TypeError(key)
+    return val
 
 
 def parse_config(text: str) -> dict:
@@ -62,7 +82,8 @@ def parse_config(text: str) -> dict:
 
     Recognized keys: slope, nu, L (or context), depth, tails (comma
     separated), x_mode, glue_stages, out, x.  Giving both slope and nu
-    is a conflict.
+    is a conflict.  A value that does not convert is a ParseError at its
+    line and column (key=value) or naming its key (JSON).
     """
     out: dict = {}
     if text.lstrip().startswith("{"):
@@ -72,7 +93,7 @@ def parse_config(text: str) -> dict:
             raise ParseError(e.msg, line=e.lineno, col=e.colno) from None
         if not isinstance(data, dict):
             raise ParseError("config must be an object")
-        items = data.items()
+        items = [(key, val, None, None) for key, val in data.items()]
     else:
         items = []
         for i, line in enumerate(text.splitlines(), 1):
@@ -82,27 +103,18 @@ def parse_config(text: str) -> dict:
             if "=" not in body:
                 raise ParseError("expected key=value", line=i, col=1)
             key, _, val = body.partition("=")
-            items.append((key.strip(), val.strip()))
             if key.strip() not in _CONFIG_KEYS:
                 raise ParseError(f"unknown key {key.strip()!r}", line=i, col=1)
-    for key, val in items:
+            # column of the value's first character
+            col = line.index("=") + 2 + len(val) - len(val.lstrip())
+            items.append((key.strip(), val.strip(), i, col))
+    for key, val, lineno, col in items:
         if key not in _CONFIG_KEYS:
             raise ParseError(f"unknown key {key!r}")
-        if key == "L":
-            key = "context"
-        if key == "slope":
-            out[key] = float(val)
-        elif key in ("depth", "glue_stages"):
-            out[key] = int(val)
-        elif key == "x":
-            out[key] = float(val)
-        elif key == "tails":
-            if isinstance(val, str):
-                out[key] = [t.strip() for t in val.split(",") if t.strip()]
-            else:
-                out[key] = list(val)
-        else:
-            out[key] = val
+        try:
+            out["context" if key == "L" else key] = _config_value(key, val)
+        except (TypeError, ValueError):
+            raise ParseError(f"bad value {val!r} for key {key!r}", line=lineno, col=col) from None
     if "slope" in out and "nu" in out:
         raise ConflictError("config gives both slope and nu")
     return out
@@ -229,8 +241,7 @@ def main(argv=None) -> int:
         NotAdmissible,
         WrongContext,
         AmbiguousAtDepth,
-        RankTie,
-        FileNotFoundError,
+            FileNotFoundError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

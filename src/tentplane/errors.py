@@ -35,10 +35,6 @@ class AmbiguousAtDepth(TentplaneError):
         self.depth = depth
 
 
-class RankTie(TentplaneError):
-    """Two inputs compare equal only because the comparison window ran out."""
-
-
 class ChartOverflow(TentplaneError):
     """Gluing chart has no room: a required margin came out non-positive."""
 
@@ -48,10 +44,14 @@ class WrongContext(TentplaneError):
 
 
 class ParseError(TentplaneError):
-    """Config text that does not parse.  Carries 1-based line and column."""
+    """Config or scene input that does not parse.
 
-    def __init__(self, msg: str, line: int = 1, col: int = 1):
-        super().__init__(f"{msg} (line {line}, col {col})")
+    Carries the 1-based line and column when the input is text with a
+    known position, else None for both.
+    """
+
+    def __init__(self, msg: str, line=None, col=None):
+        super().__init__(msg if line is None else f"{msg} (line {line}, col {col})")
         self.line = line
         self.col = col
 

@@ -29,7 +29,7 @@ from typing import Optional
 
 from .errors import ChartOverflow, TentplaneError, WrongContext
 from .scene import Scene
-from .sequences import LeftTail, parse_left
+from .sequences import parse_left
 
 # tube half-width as a fraction of the safe margin; wide enough that float
 # noise on points sitting exactly on a bulge stays far below the tube scale

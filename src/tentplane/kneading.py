@@ -14,7 +14,7 @@ tails the same bounds are applied to every finite factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
@@ -215,52 +215,6 @@ def _window_violation(word: str, lo: str, hi: str) -> bool:
     if c.decided and c.order is Order.LESS:
         return True
     return False
-
-
-def is_admissible_right(seq: RightSeq, nu: KneadingSequence, depth: Optional[int] = None) -> bool:
-    """Whether a right-infinite word is realizable as an itinerary.
-
-    Star-free words are tested against the shift bounds alone.  A word
-    with a single ``*`` additionally needs the part after the star to
-    equal the kneading sequence, since the star marks a landing on the
-    turning point.  Stars inside the period are malformed (resolve
-    first).  With a truncated ``nu`` the test is depth-limited and only
-    proven violations reject.
-    """
-    if "*" in seq.period:
-        raise MalformedSequence(f"star repeats forever in {seq}; use modify_star")
-    stars = seq.preperiod.count("*")
-    if stars > 1:
-        return False
-    if stars == 1:
-        i = seq.preperiod.index("*")
-        after = seq.shift(i + 1)
-        if nu.exact:
-            if compare_right(after, nu.seq).order is not Order.EQUAL:
-                return False
-        else:
-            d = int(nu.validated_depth)
-            if depth is not None:
-                d = min(d, depth)
-            if after.expand(d) != nu.seq.expand(d):
-                return False
-    nshifts = len(seq.preperiod) + len(seq.period)
-    if nu.exact:
-        for k in range(nshifts):
-            t = seq.shift(k)
-            if compare_right(t, nu.upper).order is Order.GREATER:
-                return False
-            if compare_right(t, nu.lower).order is Order.LESS:
-                return False
-    else:
-        d = int(nu.validated_depth)
-        if depth is not None:
-            d = min(d, depth)
-        hi, lo = nu.upper.expand(d), nu.lower.expand(d)
-        for k in range(nshifts):
-            if _window_violation(seq.shift(k).expand(d), lo, hi):
-                return False
-    return True
 
 
 def _default_tail_depth(tail: LeftTail, nu: KneadingSequence) -> int:

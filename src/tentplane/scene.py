@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -34,12 +34,11 @@ from .arcs import (
     window_projection,
 )
 from .cantor import CantorCoordinate, block_midpoint, cantor_coordinate
-from .errors import MalformedSequence, NotAdmissible
+from .errors import MalformedSequence, NotAdmissible, ParseError
 from .kneading import (
     KneadingSequence,
     enumerate_cylinders,
     is_admissible_tail,
-    kneading_from_text,
 )
 from .sequences import LeftTail, parse_left, parse_right
 
@@ -348,20 +347,52 @@ def scene_to_json(scene: Scene) -> str:
     return json.dumps(scene_to_dict(scene), indent=2, sort_keys=True)
 
 
+_REQUIRED = object()
+
+
+def _field(data: dict, key: str, kinds, default=_REQUIRED):
+    """``data[key]`` checked against ``kinds``; ParseError naming the key
+    when it is missing (and required) or of another type."""
+    if key not in data:
+        if default is _REQUIRED:
+            raise ParseError(f"scene lacks key {key!r}")
+        return default
+    val = data[key]
+    if isinstance(val, bool) or not isinstance(val, kinds):
+        raise ParseError(f"scene key {key!r} has a {type(val).__name__} value")
+    return val
+
+
 def scene_from_dict(data: dict) -> Scene:
+    """Rebuild a scene from its kneading sequence, context, mode and tails.
+
+    The stored geometry is not read back; the scene is recomputed.
+    """
+    if not isinstance(data, dict):
+        raise ParseError("scene must be a JSON object")
+    trusted = _field(data, "validated_depth", int, None)
+    slope = _field(data, "slope", (int, float, type(None)), None)
     nu = KneadingSequence(
-        parse_right(data["nu"]),
-        validated_depth=float(data.get("validated_depth", math.inf)),
-        slope=data.get("slope"),
+        parse_right(_field(data, "nu", str)),
+        validated_depth=math.inf if trusted is None else float(trusted),
+        slope=slope,
     )
-    context = parse_left(data["L"])
-    if data.get("depth") is not None:
-        return build_scene(
-            nu, context, depth=int(data["depth"]), x_mode=data["x_mode"], slope=data.get("slope")
-        )
-    tails = [row.get("label", row["tail"]) for row in data["segments"]]
-    return build_scene(nu, context, tails=tails, x_mode=data["x_mode"], slope=data.get("slope"))
+    context = parse_left(_field(data, "L", str))
+    x_mode = _field(data, "x_mode", str)
+    depth = _field(data, "depth", (int, type(None)), None)
+    if depth is not None:
+        return build_scene(nu, context, depth=depth, x_mode=x_mode, slope=slope)
+    tails = []
+    for row in _field(data, "segments", list):
+        if not isinstance(row, dict):
+            raise ParseError("scene key 'segments' holds a row that is not an object")
+        tails.append(_field(row, "label", str, _field(row, "tail", str)))
+    return build_scene(nu, context, tails=tails, x_mode=x_mode, slope=slope)
 
 
 def scene_from_json(text: str) -> Scene:
-    return scene_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(e.msg, line=e.lineno, col=e.colno) from None
+    return scene_from_dict(data)

@@ -13,9 +13,6 @@ Left-infinite tails end in a dot: ``"(011)010."`` means
 ``... 011 011 010`` read toward the dot, i.e. the block repeats forever
 to the *left* of the finite part.
 
-Two-sided: a tail glued to a right sequence at the dot,
-``"(011)0.10(1)"``.
-
 Order
 -----
 ``plex_compare`` implements the signed lexicographic order used for
@@ -167,17 +164,11 @@ class RightSeq:
     def shift(self, n: int = 1) -> "RightSeq":
         """Drop the first ``n`` symbols."""
         if n < 0:
-            raise ValueError("use push_front to extend leftward")
+            raise ValueError("cannot shift by a negative count")
         if n <= len(self.preperiod):
             return RightSeq(self.preperiod[n:], self.period)
         m = (n - len(self.preperiod)) % len(self.period)
         return RightSeq("", self.period[m:] + self.period[:m])
-
-    def push_front(self, sym: str) -> "RightSeq":
-        _check_word(sym, what="symbol")
-        if len(sym) != 1:
-            raise MalformedSequence("push_front takes a single symbol")
-        return RightSeq(sym + self.preperiod, self.period)
 
     @property
     def is_periodic(self) -> bool:
@@ -259,58 +250,13 @@ class LeftTail:
         return LeftTail(self.period, self.transient + sym)
 
 
-def compare_tail_windows(a: LeftTail, b: LeftTail, n: int) -> Comparison:
-    """Plain equality-structure helper: signed-lex on the last-n windows.
-
-    Note this reads the windows left to right, which is NOT the tail
-    order; see ``cantor.compare_tails`` for that.
-    """
-    return plex_compare(a.window(n), b.window(n))
-
-
 def tails_equal_horizon(a: LeftTail, b: LeftTail) -> int:
     """Window length whose agreement proves two tails are equal words."""
     return max(len(a.transient), len(b.transient)) + lcm(len(a.period), len(b.period))
 
 
-@dataclass(frozen=True)
-class TwoSidedSeq:
-    """A left tail and a right sequence joined at the dot."""
-
-    left: LeftTail
-    right: RightSeq
-
-    def __str__(self):
-        return f"{self.left}{self.right}"
-
-    def at(self, k: int) -> str:
-        return self.right.at(k) if k >= 0 else self.left.at(k)
-
-    def window(self, lo: int, hi: int) -> str:
-        """Symbols ``s_lo ... s_{hi-1}`` as a word (lo may be negative)."""
-        out = []
-        for k in range(lo, hi):
-            out.append(self.at(k))
-        return "".join(out)
-
-
-def shift_two_sided(ts: TwoSidedSeq, n: int = 1) -> TwoSidedSeq:
-    """Move the dot ``n`` places to the right (negative n: to the left)."""
-    left, right = ts.left, ts.right
-    if n >= 0:
-        for _ in range(n):
-            left = left.push(right.at(0))
-            right = right.shift(1)
-    else:
-        for _ in range(-n):
-            right = right.push_front(left.at(-1))
-            left = left.pop()
-    return TwoSidedSeq(left, right)
-
-
 _RIGHT_RE = re.compile(r"^([01*]*)\(([01*]+)\)$")
 _LEFT_RE = re.compile(r"^\(([01*]+)\)([01*]*)\.$")
-_TWO_RE = re.compile(r"^\(([01*]+)\)([01*]*)\.([01*]*)\(([01*]+)\)$")
 
 
 def parse_right(text: str) -> RightSeq:
@@ -326,9 +272,3 @@ def parse_left(text: str) -> LeftTail:
         raise MalformedSequence(f"not a left tail: {text!r}")
     return LeftTail(m.group(1), m.group(2))
 
-
-def parse_two_sided(text: str) -> TwoSidedSeq:
-    m = _TWO_RE.match(text.strip())
-    if not m:
-        raise MalformedSequence(f"not a two-sided sequence: {text!r}")
-    return TwoSidedSeq(LeftTail(m.group(1), m.group(2)), RightSeq(m.group(3), m.group(4)))

@@ -43,8 +43,6 @@ from tentplane import (
     parse_left,
     resolve_x,
     support_certificate,
-    tau_left,
-    tau_right,
     verify_noncrossing,
 )
 
@@ -126,9 +124,8 @@ def test_c2_reference_pair_projection(verdict):
         a = LeftTail("011", "010")
         b = LeftTail("011", "110")
         for t in (a, b):
-            assert tau_left(t, nu) == 3
-            assert tau_right(t, nu) == 1
             p = arc_projection(t, nu)
+            assert (p.tau_l, p.tau_r) == (3, 1)
             assert (p.lo_index, p.hi_index) == (3, 1)
             assert not p.degenerate
         joins = boundary_pairs([a, b], nu)

@@ -1,4 +1,4 @@
-"""Landing indices, horizontal extents, joins, and partner search."""
+"""Landing indices, horizontal extents, and joins."""
 import math
 from fractions import Fraction
 
@@ -13,27 +13,23 @@ from tentplane import (
     KneadingSequence,
     LeftTail,
     MalformedSequence,
-    Order,
-    RightSeq,
-    TAU_INF,
-    TwoSidedSeq,
     arc_projection,
     boundary_pairs,
-    flip_at,
-    identify_partner,
     kneading_from_slope,
-    match_indices,
-    orbit_compare,
     parse_left,
     parse_right,
-    parse_two_sided,
     resolve_x,
+)
+from tentplane.arcs import (
+    TAU_INF,
+    flip_at,
+    match_indices,
+    orbit_compare,
     side_of_level,
-    tau_left,
-    tau_right,
     window_projection,
     window_taus,
 )
+from tentplane.sequences import Order
 
 GOLD = kneading_from_slope((1 + math.sqrt(5)) / 2)
 FULL = kneading_from_slope(2.0)
@@ -55,20 +51,11 @@ def test_match_indices_truncated_cap():
     assert match_indices(t, fig, 15) == [1, 2]
 
 
-def test_tau_frozen():
-    a, b = parse_left("(011)010."), parse_left("(011)110.")
-    assert (tau_left(a, GOLD), tau_right(a, GOLD)) == (3, 1)
-    assert (tau_left(b, GOLD), tau_right(b, GOLD)) == (3, 1)
-    # the context tail itself matches at every multiple of its period
-    L = parse_left("(101).")
-    assert tau_left(L, GOLD) == 2
-    assert tau_right(L, GOLD) is TAU_INF
-    assert (tau_left(parse_left("(1)."), FULL), tau_right(parse_left("(1)."), FULL)) == (2, 1)
-
-
 def test_projection_frozen():
-    p = arc_projection(parse_left("(011)010."), GOLD)
-    assert (p.lo_index, p.hi_index, p.tau_l, p.tau_r, p.degenerate) == (3, 1, 3, 1, False)
+    for text in ("(011)010.", "(011)110."):
+        p = arc_projection(parse_left(text), GOLD)
+        assert (p.lo_index, p.hi_index, p.tau_l, p.tau_r, p.degenerate) == (3, 1, 3, 1, False)
+    # the context tail itself matches at every multiple of its period
     p = arc_projection(parse_left("(101)."), GOLD)
     assert (p.lo_index, p.hi_index, p.tau_l, p.tau_r) == (2, 1, 2, TAU_INF)
     assert not p.degenerate
@@ -234,17 +221,3 @@ def test_boundary_pairs_truncated_slot_skipped():
     # cannot be certified, so the pair is silently dropped
     assert boundary_pairs([a, flip_at(a, 12)], fig) == []
 
-
-def test_identify_partner():
-    assert identify_partner(parse_two_sided("(101).(101)"), GOLD) is None
-    ts = TwoSidedSeq(parse_left("(011)010."), RightSeq("", "110"))
-    k, cand = identify_partner(ts, GOLD)
-    assert k == 0
-    assert str(cand.left) == "(101)0." and str(cand.right) == "0(101)"
-
-
-def test_identify_partner_truncated_raises():
-    fig = figure_nu()
-    ts = TwoSidedSeq(parse_left("(101)."), RightSeq("10011001", "0"))
-    with pytest.raises(AmbiguousAtDepth):
-        identify_partner(ts, fig)

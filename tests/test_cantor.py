@@ -6,16 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tentplane import (
-    CantorCoordinate,
     LeftTail,
     MalformedSequence,
-    Order,
     block_midpoint,
     cantor_coordinate,
     compare_tails,
     parse_left,
-    parse_ternary,
 )
+from tentplane.cantor import CantorCoordinate, parse_ternary
+from tentplane.sequences import Order
 
 periods = st.text(alphabet="01", min_size=1, max_size=4)
 transients = st.text(alphabet="01", max_size=5)

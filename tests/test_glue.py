@@ -10,11 +10,9 @@ from conftest import figure_nu, figure_tails
 
 from tentplane import (
     ChartOverflow,
-    LeftTail,
     TentplaneError,
     WrongContext,
     accessibility_probe,
-    apply_gluing,
     build_glue_stack,
     build_scene,
     cauchy_certificate,
@@ -25,12 +23,13 @@ from tentplane import (
     fiber_collapse,
     kneading_from_slope,
     parse_left,
-    parse_ternary,
     support_certificate,
 )
 from tentplane.arcs import Projection
+from tentplane.cantor import parse_ternary
 from tentplane.glue import (
     GlueRegion,
+    apply_gluing,
     cauchy_gap,
     in_carved_region,
     in_region,

@@ -13,23 +13,16 @@ from tentplane import (
     MalformedSequence,
     MalformedStarPeriod,
     NotAdmissible,
-    Order,
     RightSeq,
     enumerate_cylinders,
-    is_admissible_right,
     is_admissible_tail,
     kneading_from_slope,
-    kneading_from_text,
-    modify_star,
     parse_left,
     parse_right,
-    plex_compare,
-    plex_key,
-    tent,
-    tent_itinerary,
     validate_kneading,
 )
-from tentplane.kneading import C
+from tentplane.kneading import C, kneading_from_text, modify_star, tent, tent_itinerary
+from tentplane.sequences import Order, plex_compare, plex_key
 
 from conftest import GOLDEN, figure_nu, figure_tails
 
@@ -177,22 +170,6 @@ def test_cylinders_realized_in_core():
             assert w in enum, w
             seen.add(w)
         assert seen == enum
-
-
-def test_is_admissible_right():
-    gold = kneading_from_slope(GOLDEN)
-    assert is_admissible_right(parse_right("0(101)"), gold)
-    assert is_admissible_right(parse_right("(110)"), gold)
-    # all-ones sits below (101) thanks to the parity flip after the first 1
-    assert is_admissible_right(parse_right("(1)"), gold)
-    # 001... falls below the itinerary floor 011...
-    assert not is_admissible_right(parse_right("(100)"), gold)
-    # a star marks a landing on the turning point: what follows must be nu
-    assert is_admissible_right(parse_right("*(101)"), gold)
-    assert not is_admissible_right(parse_right("0*1(101)"), gold)
-    assert not is_admissible_right(parse_right("**(101)"), gold)
-    with pytest.raises(MalformedSequence):
-        is_admissible_right(parse_right("(10*)"), gold)
 
 
 def test_is_admissible_tail():

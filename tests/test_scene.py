@@ -1,5 +1,6 @@
 """Scene assembly, planarity checks, and serialization."""
 import dataclasses
+import json
 import math
 import random
 
@@ -8,9 +9,12 @@ import pytest
 from conftest import figure_nu, figure_tails, figure_labels
 
 from tentplane import (
-    LeftTail,
+    AmbiguousAtDepth,
+    KneadingSequence,
     MalformedSequence,
     NotAdmissible,
+    ParseError,
+    RightSeq,
     SceneJoin,
     betweenness_check,
     build_scene,
@@ -20,6 +24,7 @@ from tentplane import (
     scene_to_json,
     verify_noncrossing,
 )
+from tentplane.kneading import kneading_from_text
 from tentplane.scene import scene_to_dict
 
 GOLD = kneading_from_slope((1 + math.sqrt(5)) / 2)
@@ -178,3 +183,50 @@ def test_cylinder_json_round_trip():
     rt = scene_from_json(scene_to_json(sc))
     assert [s.word for s in rt.segments] == [s.word for s in sc.segments]
     assert len(rt.joins) == len(sc.joins)
+
+
+def test_json_loads_every_written_form():
+    nu_text = kneading_from_text("(101)")  # exact, no slope
+    scenes = [
+        build_scene(GOLD, "(101).", tails=["(011)010.", "(011)110."], x_mode="value"),
+        build_scene(nu_text, "(101).", tails=["(011)010.", "(101)."]),
+        build_scene(figure_nu(), "(1).", depth=5),
+        build_scene(nu_text, "(1).", depth=4),
+    ]
+    for sc in scenes:
+        rt = scene_from_json(scene_to_json(sc))
+        assert scene_to_json(rt) == scene_to_json(sc)
+
+
+def test_scene_from_json_rejects_malformed():
+    good = scene_to_dict(build_scene(GOLD, "(101).", tails=["(011)010.", "(011)110."]))
+    with pytest.raises(ParseError, match="object"):
+        scene_from_json("[1, 2]")
+    with pytest.raises(ParseError) as e:
+        scene_from_json('{"nu": (101)')
+    assert (e.value.line, e.value.col) == (1, 8)
+    missing = object()
+    cases = [
+        ("L", missing, "L"), ("nu", missing, "nu"), ("x_mode", missing, "x_mode"),
+        ("segments", missing, "segments"), ("L", 3, "L"), ("depth", "4", "depth"),
+        ("validated_depth", 9.5, "validated_depth"), ("slope", "2", "slope"),
+        ("segments", [["(101)."]], "segments"), ("segments", [{"label": "(101)."}], "tail"),
+    ]
+    for key, bad, named in cases:
+        data = dict(good)
+        if bad is missing:
+            del data[key]
+        else:
+            data[key] = bad
+        with pytest.raises(ParseError, match=f"'{named}'"):
+            scene_from_json(json.dumps(data))
+
+
+@pytest.mark.xfail(strict=True, reason="rank layout merges orbit points a truncated nu cannot order")
+def test_truncated_nu_deeper_than_decided():
+    nu = KneadingSequence(RightSeq("10111101110101", "0"), validated_depth=14.0)
+    try:
+        sc = build_scene(nu, "(0111)1.", depth=13)
+    except AmbiguousAtDepth:
+        return
+    assert verify_noncrossing(sc) == [] and betweenness_check(sc) == []

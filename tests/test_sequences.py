@@ -6,17 +6,17 @@ from hypothesis import strategies as st
 from tentplane import (
     LeftTail,
     MalformedSequence,
-    Order,
     RightSeq,
+    parse_left,
+    parse_right,
+)
+from tentplane.sequences import (
+    Order,
     compare_right,
     ones,
     parity,
-    parse_left,
-    parse_right,
-    parse_two_sided,
     plex_compare,
     plex_key,
-    shift_two_sided,
     tails_equal_horizon,
 )
 
@@ -151,17 +151,6 @@ def test_compare_right_is_exact(pa, ta, pb, tb):
         assert c.order is ref.order
     else:
         assert c.order is Order.EQUAL and a == b
-
-
-def test_two_sided_window_and_shift():
-    ts = parse_two_sided("(101)0.1(10)")
-    assert ts.at(-1) == "0" and ts.at(0) == "1" and ts.at(1) == "1"
-    assert ts.window(-3, 3) == "010110"
-    moved = shift_two_sided(ts, 2)
-    assert moved.window(-5, 1) == ts.window(-3, 3)
-    back = shift_two_sided(moved, -2)
-    assert back == ts
-    assert str(ts) == "(101)0.1(10)"
 
 
 def test_tails_equal_horizon():

@@ -6,7 +6,7 @@ import sys
 
 from conftest import figure_nu, figure_tails
 
-from tentplane import build_glue_stack, build_scene, kneading_from_slope, parse_left
+from tentplane import build_scene, kneading_from_slope, parse_left
 from tentplane.cli import main, parse_config
 from tentplane.errors import ConflictError, ParseError
 from tentplane.svg import render_scene
@@ -135,7 +135,7 @@ def test_cli_glue_and_probe():
                "--tails", "(011)010.", "(011)110.", "--tail", "(011)110.")[0] == 2
 
 
-def test_parse_config_forms():
+def test_parse_config_forms(tmp_path, capsys):
     opts = parse_config("slope=1.8\ndepth=4\n# note\nx_mode=rank\n")
     assert opts == {"slope": 1.8, "depth": 4, "x_mode": "rank"}
     opts = parse_config('{"nu": "(101)", "L": "(101).", "tails": ["(011)010."], "x": 0.5}')
@@ -150,6 +150,20 @@ def test_parse_config_forms():
         parse_config("{not json")
     with pytest.raises(ConflictError):
         parse_config("slope=2.0\nnu=(101)")
+    # values that do not convert: position for key=value, key name for JSON
+    with pytest.raises(ParseError) as e:
+        parse_config("nu=(101)\ndepth=abc\n")
+    assert (e.value.line, e.value.col) == (2, 7)
+    for text, key in [('{"depth": "x"}', "depth"), ('{"depth": 1.5}', "depth"),
+                      ('{"slope": true}', "slope"), ('{"nu": 101}', "nu"),
+                      ('{"tails": [1]}', "tails"), ("glue_stages=2.5", "glue_stages")]:
+        with pytest.raises(ParseError, match=f"key '{key}'"):
+            parse_config(text)
+    assert parse_config('{"depth": "4", "slope": 2}') == {"depth": 4, "slope": 2.0}
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("nu=(101)\ndepth=abc\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: bad value 'abc' for key 'depth' (line 2, col 7)\n"
 
 
 def test_cli_config_file(tmp_path):
@@ -164,3 +178,18 @@ def test_cli_config_file(tmp_path):
     bad.write_text("slope=2.0\nnu=(101)\n")
     assert run("scene", "--config", str(bad))[0] == 2
     assert run("scene", "--config", str(tmp_path / "nope.cfg"))[0] == 2
+
+
+def test_cli_malformed_input_exits_2(tmp_path, capsys):
+    cases = {
+        "list.json": ("scene", "[1, 2]"),
+        "no_L.json": ("scene", '{"nu": "(101)", "depth": 3, "x_mode": "rank"}'),
+        "broken.json": ("scene", '{"nu": (101)'),
+        "typo.json": ("config", '{"nu": "(101)", "depth": "x"}'),
+    }
+    for name, (kind, text) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["verify", f"--{kind}", str(path)]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
