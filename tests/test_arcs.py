@@ -22,6 +22,7 @@ from tentplane import (
 )
 from tentplane.arcs import (
     TAU_INF,
+    _landing,
     flip_at,
     match_indices,
     orbit_compare,
@@ -49,6 +50,17 @@ def test_match_indices_truncated_cap():
     t = figure_tails()[0]
     # scanning stops once the window would outrun the trusted symbols
     assert match_indices(t, fig, 15) == [1, 2]
+
+
+def test_tau_frozen():
+    a, b = parse_left("(011)010."), parse_left("(011)110.")
+    assert _landing(a, GOLD)[:2] == (3, 1)
+    assert _landing(b, GOLD)[:2] == (3, 1)
+    # the context tail itself matches at every multiple of its period
+    tl, tr, _, _ = _landing(parse_left("(101)."), GOLD)
+    assert tl == 2
+    assert tr is TAU_INF
+    assert _landing(parse_left("(1)."), FULL)[:2] == (2, 1)
 
 
 def test_projection_frozen():
