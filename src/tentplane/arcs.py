@@ -4,7 +4,8 @@ A left tail describes the history of a point; comparing the symbols next
 to the dot with the head of the kneading sequence tells at which forward
 images of the turning point the associated arc lands.  A slot count n
 "matches" when the last n-1 symbols of the tail equal the first n-1 of
-nu.  Matches whose shared word holds an odd number of 1s feed the left
+nu, that is when n-1 is in ``kneading.head_matches`` of a window.
+Matches whose shared word holds an odd number of 1s feed the left
 landing index, even ones the right landing index; n=1 always matches and
 is even, so the right index exists for every tail.
 
@@ -28,7 +29,7 @@ from math import lcm
 from typing import Optional
 
 from .errors import AmbiguousAtDepth, MalformedSequence
-from .kneading import C, KneadingSequence, tent
+from .kneading import C, KneadingSequence, head_matches, tent
 from .sequences import (
     Comparison,
     LeftTail,
@@ -43,17 +44,6 @@ from .cantor import compare_tails
 TAU_INF = math.inf
 
 
-def match_indices(tail: LeftTail, nu: KneadingSequence, upto: int) -> list:
-    """All n in [1, upto] whose last-(n-1) window equals the head of nu."""
-    out = []
-    for n in range(1, upto + 1):
-        if not nu.exact and n - 1 > int(nu.validated_depth):
-            break
-        if tail.window(n - 1) == nu.expand(n - 1):
-            out.append(n)
-    return out
-
-
 def _match_data(tail: LeftTail, nu: KneadingSequence):
     """Representative matches up to the detection bound, their parity
     classes, and the set of parity classes with infinitely many matches."""
@@ -62,7 +52,7 @@ def _match_data(tail: LeftTail, nu: KneadingSequence):
     bound = t0 + 2 * step + 2
     if not nu.exact:
         bound = min(bound, int(nu.validated_depth) + 1)
-    ms = match_indices(tail, nu, bound)
+    ms = [k + 1 for k in head_matches(tail.window(bound - 1), nu)]
     pclass = {n: parity(nu.expand(n - 1)) for n in ms}
     inf: set = set()
     if nu.exact:
@@ -143,27 +133,17 @@ def arc_projection(tail: LeftTail, nu: KneadingSequence) -> Projection:
     return Projection(lo, hi, tl, tr, deg)
 
 
-def window_taus(word: str, nu: KneadingSequence):
-    """Landing indices computed from a finite window alone."""
-    # highest level whose match is certified AND whose cut point can be
-    # placed: a truncated nu cannot order the index validated_depth + 1
-    cap = len(word) + 1
-    if not nu.exact:
-        cap = min(cap, int(nu.validated_depth))
-    tl, tr = None, 1
-    for m in range(2, cap + 1):
-        k = m - 1
-        if word[len(word) - k :] != nu.expand(k):
-            continue
-        if parity(nu.expand(k)) == 0:
-            tr = m
-        else:
-            tl = m
-    return tl, tr
-
-
 def window_projection(word: str, nu: KneadingSequence) -> Projection:
-    tl, tr = window_taus(word, nu)
+    """Projection from a finite window alone: the landing indices are the
+    highest levels whose match is certified and whose cut point can be
+    placed (a truncated nu cannot order the index validated_depth + 1)."""
+    tl, tr = None, 1
+    for k in head_matches(word, nu):
+        if 0 < k < nu.validated_depth:
+            if parity(nu.expand(k)) == 0:
+                tr = k + 1
+            else:
+                tl = k + 1
     lo = tl if tl is not None else 2
     deg = _orbit_cmp_merge(lo, tr, nu) is Order.EQUAL
     return Projection(lo, tr, tl, tr, deg)
@@ -279,10 +259,8 @@ def boundary_pairs(
             m = diffs[0]
             if flip_at(a, m) != b:
                 continue
-            if not nu.exact and m - 1 > int(nu.validated_depth):
-                continue  # cannot certify the shared word; not a proven join
-            if a.window(m - 1) != nu.expand(m - 1):
-                continue
+            if m - 1 not in head_matches(a.window(m - 1), nu):
+                continue  # shared word off the head, or beyond what nu certifies
             if level is not None and m != level:
                 continue
             side = side_of_level(nu, m)

@@ -71,16 +71,9 @@ def _adjusted_period(word: str) -> int:
     return len(word) if parity(word) == 0 else 2 * len(word)
 
 
-def cantor_coordinate(tail: LeftTail, context: LeftTail) -> CantorCoordinate:
-    """Ternary height of ``tail`` relative to ``context``.
-
-    digit_i is 2 exactly when the number of 1s in the last i symbols of
-    the tail and of the context agree mod 2.  The context maps to 1.
-    """
-    t = max(len(tail.transient), len(context.transient))
-    p = lcm(_adjusted_period(tail.period), _adjusted_period(context.period))
-    n = t + p
-    ws, wl = tail.window(n), context.window(n)
+def _digits(ws: str, wl: str) -> str:
+    # digit i is 2 when the last-i ones-counts of ws and wl share parity
+    n = len(ws)
     digits = []
     ps = pl = 0
     for i in range(1, n + 1):
@@ -89,7 +82,18 @@ def cantor_coordinate(tail: LeftTail, context: LeftTail) -> CantorCoordinate:
         if wl[n - i] == "1":
             pl ^= 1
         digits.append("2" if ps == pl else "0")
-    word = "".join(digits)
+    return "".join(digits)
+
+
+def cantor_coordinate(tail: LeftTail, context: LeftTail) -> CantorCoordinate:
+    """Ternary height of ``tail`` relative to ``context``.
+
+    digit_i is 2 exactly when the number of 1s in the last i symbols of
+    the tail and of the context agree mod 2.  The context maps to 1.
+    """
+    t = max(len(tail.transient), len(context.transient))
+    p = lcm(_adjusted_period(tail.period), _adjusted_period(context.period))
+    word = _digits(tail.window(t + p), context.window(t + p))
     return CantorCoordinate(word[:t], word[t:])
 
 
@@ -99,17 +103,7 @@ def block_midpoint(word: str, context: LeftTail) -> CantorCoordinate:
     The window's digits pin a ternary block of width 3^-n; the midpoint
     is that block's digit string followed by repeating 1.
     """
-    n = len(word)
-    wl = context.window(n)
-    digits = []
-    ps = pl = 0
-    for i in range(1, n + 1):
-        if word[n - i] == "1":
-            ps ^= 1
-        if wl[n - i] == "1":
-            pl ^= 1
-        digits.append("2" if ps == pl else "0")
-    return CantorCoordinate("".join(digits), "1")
+    return CantorCoordinate(_digits(word, context.window(len(word))), "1")
 
 
 def compare_tails(a: LeftTail, b: LeftTail, context: LeftTail) -> Comparison:

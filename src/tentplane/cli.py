@@ -123,7 +123,7 @@ def parse_config(text: str) -> dict:
 def _merge_config(args) -> dict:
     opts: dict = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             opts = parse_config(fh.read())
     for key in _MERGE_KEYS:
         val = getattr(args, key, None)
@@ -147,7 +147,7 @@ def _scene_from(args):
     """Build (scene, merged options) from the parsed arguments."""
     opts = _merge_config(args)
     if getattr(args, "scene", None):
-        with open(args.scene) as fh:
+        with open(args.scene, encoding="utf-8") as fh:
             return scene_from_json(fh.read()), opts
     nu = _nu_from(opts)
     kwargs = {"x_mode": opts.get("x_mode") or "rank"}
@@ -241,7 +241,8 @@ def main(argv=None) -> int:
         NotAdmissible,
         WrongContext,
         AmbiguousAtDepth,
-            FileNotFoundError,
+        OSError,
+        UnicodeDecodeError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -188,32 +188,27 @@ def stage_map(region: GlueRegion, point) -> tuple:
     return (nx, ny)
 
 
+def stage_path(stack, point) -> list:
+    """The point, then its image after each stage, shallowest first."""
+    path = [(float(point[0]), float(point[1]))]
+    for region in stack:
+        path.append(stage_map(region, path[-1]))
+    return path
+
+
+def _hops(path) -> list:
+    # distance moved by each stage along a stage path
+    return [math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in zip(path, path[1:])]
+
+
 def apply_gluing(stack, point, upto: Optional[int] = None) -> tuple:
     """Compose the stages, shallowest first, through ``upto`` of them."""
-    p = (float(point[0]), float(point[1]))
-    n = len(stack) if upto is None else upto
-    for region in stack[:n]:
-        p = stage_map(region, p)
-    return p
+    return stage_path(stack[:upto], point)[-1]
 
 
 def moved_stages(stack, point, tol: float = 1e-12) -> list:
     """Indices (1-based prefix positions) of stages that move the point."""
-    p = (float(point[0]), float(point[1]))
-    out = []
-    for i, region in enumerate(stack, 1):
-        q = stage_map(region, p)
-        if math.hypot(q[0] - p[0], q[1] - p[1]) > tol:
-            out.append(i)
-        p = q
-    return out
-
-
-def cauchy_gap(stack, point, n: int, m: int) -> float:
-    """Distance between the n-stage and m-stage images of a point."""
-    a = apply_gluing(stack, point, upto=n)
-    b = apply_gluing(stack, point, upto=m)
-    return math.hypot(b[0] - a[0], b[1] - a[1])
+    return [i for i, d in enumerate(_hops(stage_path(stack, point)), 1) if d > tol]
 
 
 def in_region(region: GlueRegion, point, slack: float = 0.0) -> bool:
@@ -256,18 +251,14 @@ def support_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
     bad_support = []
     bad_repeat = []
     for p in pts:
-        cur = p
-        moved = []
-        for i, region in enumerate(stack):
-            q = stage_map(region, cur)
-            if math.hypot(q[0] - cur[0], q[1] - cur[1]) > 1e-12:
-                moved.append(i)
-                if not (
-                    in_carved_region(stack, i, cur, tol)
-                    and in_carved_region(stack, i, q, tol)
-                ):
-                    bad_support.append((p, stack[i].level))
-            cur = q
+        path = stage_path(stack, p)
+        moved = [i for i, d in enumerate(_hops(path)) if d > 1e-12]
+        for i in moved:
+            if not (
+                in_carved_region(stack, i, path[i], tol)
+                and in_carved_region(stack, i, path[i + 1], tol)
+            ):
+                bad_support.append((p, stack[i].level))
         if len(moved) > 1:
             bad_repeat.append((p, [stack[i].level for i in moved]))
     return {
@@ -285,16 +276,12 @@ def displacement_certificate(stack, scene: Scene, tol: float = 1e-9) -> dict:
     worst = 0.0
     bad = []
     for p in pts:
-        cur = p
-        for region in stack:
-            q = stage_map(region, cur)
-            d = math.hypot(q[0] - cur[0], q[1] - cur[1])
+        for region, d in zip(stack, _hops(stage_path(stack, p))):
             if d > 0:
                 lim = float(region.region_diam)
                 worst = max(worst, d / lim)
                 if d > lim + tol:
                     bad.append((p, region.level, d, lim))
-            cur = q
     return {"ok": not bad, "samples": len(pts), "worst_ratio": worst, "failures": bad}
 
 
@@ -302,15 +289,17 @@ def cauchy_certificate(stack, scene: Scene, tol: float = 1e-9) -> dict:
     """Tail estimate: between any two prefix depths the image moves at
     most by the largest region diameter in the window."""
     pts = scene_samples(scene)
+    diams = [float(r.region_diam) for r in stack]
     bad = []
     for p in pts:
-        images = [apply_gluing(stack, p, upto=n) for n in range(len(stack) + 1)]
+        images = stage_path(stack, p)
         for n in range(len(stack) + 1):
+            lim = 0.0  # running max of the diameters of stages n+1..m
             for m in range(n + 1, len(stack) + 1):
+                lim = max(lim, diams[m - 1])
                 gap = math.hypot(
                     images[m][0] - images[n][0], images[m][1] - images[n][1]
                 )
-                lim = max((float(r.region_diam) for r in stack[n:m]), default=0.0)
                 if gap > lim + tol:
                     bad.append((p, n, m, gap, lim))
     return {"ok": not bad, "samples": len(pts), "failures": bad}

@@ -10,17 +10,26 @@ smaller of the two {0,1} completions in the signed-lex order).
 A sequence is admissible for a kneading sequence ``nu`` when every shift
 lies between ``shift(nu)`` and ``nu`` in the signed-lex order.  For left
 tails the same bounds are applied to every finite factor.
+
+``HeadScan`` reads a word one symbol at a time and keeps the lengths of
+its suffixes that still equal a head of ``nu`` and of ``shift(nu)``; a
+suffix is decided at its first differing symbol, which keeps it inside
+the bounds or flags the word, and is dropped undecided once it has
+matched the whole scanned head.  Admissibility, cylinder growth, landing
+matches (``head_matches``) and one-slot joins all read that state.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Union
 
 from .errors import MalformedSequence, MalformedStarPeriod, NotAdmissible
 from .sequences import (
+    RANK,
+    SYMBOLS,
     LeftTail,
     Order,
     RightSeq,
@@ -206,26 +215,57 @@ def kneading_from_slope(
     return KneadingSequence(RightSeq(w[:-1], w[-1]), validated_depth=float(len(w)), slope=float(s))
 
 
-def _window_violation(word: str, lo: str, hi: str) -> bool:
-    # violates the bounds iff provably above hi or provably below lo
-    c = plex_compare(word, hi[: len(word)] if len(hi) > len(word) else hi)
-    if c.decided and c.order is Order.GREATER:
-        return True
-    c = plex_compare(word, lo[: len(word)] if len(lo) > len(word) else lo)
-    if c.decided and c.order is Order.LESS:
-        return True
-    return False
+@lru_cache(maxsize=256)
+def _scan_masks(nu: KneadingSequence, depth: int) -> dict:
+    # per symbol, bit sets over head slots j < depth: where the symbol
+    # continues the head of nu, where it leaves nu from above, and the
+    # same two for the head of shift(nu) and leaving it from below
+    out = {s: [0, 0, 0, 0] for s in SYMBOLS}
+    for base, head, worse in ((0, nu.upper.expand(depth), 1), (2, nu.lower.expand(depth), -1)):
+        odd = False
+        for j, ch in enumerate(head):
+            for s in SYMBOLS:
+                if s == ch:
+                    out[s][base] |= 1 << j
+                elif ((RANK[s] - RANK[ch]) * worse > 0) != odd:
+                    out[s][base + 1] |= 1 << j
+            if ch == "1":
+                odd = not odd
+    return {s: tuple(m) for s, m in out.items()}
 
 
-def _default_tail_depth(tail: LeftTail, nu: KneadingSequence) -> int:
-    d = max(
-        8,
-        len(tail.transient) + len(tail.period),
-        len(nu.seq.preperiod) + 2 * len(nu.seq.period),
-    )
-    if not nu.exact:
-        d = min(d, int(nu.validated_depth))
-    return d
+class HeadScan:
+    """Suffix scan against the first ``depth`` symbols of nu and shift(nu),
+    ``depth`` capped at a truncated nu's validated depth.
+
+    A state ``(up, down, bad)`` holds the lengths of the live nonempty
+    suffixes on each head as bit sets (bit k for length k) and whether
+    one left the bounds.
+    """
+
+    start = (0, 0, False)
+
+    def __init__(self, nu: KneadingSequence, depth: int):
+        if not nu.exact:
+            depth = min(depth, int(nu.validated_depth))
+        self.depth = depth
+        self._masks = _scan_masks(nu, depth)
+
+    def push(self, state, sym: str):
+        """The state after one more symbol."""
+        up, down, bad = state
+        up_on, up_off, down_on, down_off = self._masks[sym]
+        up, down = up | 1, down | 1  # the empty suffix starts at this symbol
+        return (up & up_on) << 1, (down & down_on) << 1, bad or bool(up & up_off or down & down_off)
+
+
+def head_matches(word: str, nu: KneadingSequence) -> list:
+    """Lengths k, ascending, for which the last k symbols of ``word`` equal
+    the first k of nu; 0 always matches, and no k exceeds a truncated nu's
+    validated depth."""
+    scan = HeadScan(nu, len(word))
+    up = reduce(scan.push, word, scan.start)[0] | 1
+    return [k for k in range(scan.depth + 1) if up >> k & 1]
 
 
 def is_admissible_tail(tail: LeftTail, nu: KneadingSequence, depth: Optional[int] = None) -> bool:
@@ -237,41 +277,32 @@ def is_admissible_tail(tail: LeftTail, nu: KneadingSequence, depth: Optional[int
     violations reject.
     """
     if depth is None:
-        depth = _default_tail_depth(tail, nu)
-    elif not nu.exact:
-        depth = min(depth, int(nu.validated_depth))
-    win = tail.window(len(tail.transient) + len(tail.period) + 2 * depth)
-    hi, lo = nu.upper.expand(depth), nu.lower.expand(depth)
-    for i in range(len(win)):
-        if _window_violation(win[i : i + depth], lo, hi):
-            return False
-    return True
-
-
-def _word_admissible(word: str, lo: str, hi: str) -> bool:
-    for k in range(len(word)):
-        if _window_violation(word[k:], lo, hi):
-            return False
-    return True
+        depth = max(
+            8,
+            len(tail.transient) + len(tail.period),
+            len(nu.seq.preperiod) + 2 * len(nu.seq.period),
+        )
+    scan = HeadScan(nu, depth)
+    win = tail.window(len(tail.transient) + len(tail.period) + 2 * scan.depth)
+    return not reduce(scan.push, win, scan.start)[2]
 
 
 def enumerate_cylinders(nu: KneadingSequence, depth: int) -> list:
     """All admissible {0,1} words of the given length, in signed-lex order."""
     if depth < 1:
         raise MalformedSequence("depth must be positive")
-    d = depth if nu.exact else min(depth, int(nu.validated_depth))
-    hi, lo = nu.upper.expand(d), nu.lower.expand(d)
+    scan = HeadScan(nu, depth)
     out = []
 
-    def grow(w: str):
-        if not _word_admissible(w, lo, hi):
+    def grow(w: str, state):
+        if state[2]:
             return
         if len(w) == depth:
             out.append(w)
             return
-        grow(w + "0")
-        grow(w + "1")
+        grow(w + "0", scan.push(state, "0"))
+        grow(w + "1", scan.push(state, "1"))
 
-    grow("")
+    grow("", scan.start)
     out.sort(key=plex_key)
     return out

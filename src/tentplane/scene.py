@@ -38,6 +38,7 @@ from .errors import MalformedSequence, NotAdmissible, ParseError
 from .kneading import (
     KneadingSequence,
     enumerate_cylinders,
+    head_matches,
     is_admissible_tail,
 )
 from .sequences import LeftTail, parse_left, parse_right
@@ -174,19 +175,13 @@ def _cylinder_pairs(words, nu: KneadingSequence) -> list:
     pool = set(words)
     out = []
     for w in words:
-        n = len(w)
-        for i in range(n):
-            if w[i] == "1":
+        for k in head_matches(w, nu):
+            i = len(w) - 1 - k  # slot -(k+1), just before the matched suffix
+            if i < 0 or w[i] == "1":
                 continue  # handle each unordered pair once, from its 0 side
-            m = n - i
-            if not nu.exact and m - 1 > int(nu.validated_depth):
-                continue
-            if w[i + 1 :] != nu.expand(m - 1):
-                continue
             other = w[:i] + "1" + w[i + 1 :]
-            if other not in pool:
-                continue
-            out.append(Join(m, side_of_level(nu, m), w, other))
+            if other in pool:
+                out.append(Join(k + 1, side_of_level(nu, k + 1), w, other))
     return out
 
 

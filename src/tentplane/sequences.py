@@ -212,10 +212,6 @@ class LeftTail:
     def __str__(self):
         return f"({self.period}){self.transient}."
 
-    @property
-    def is_pure(self) -> bool:
-        return not self.transient
-
     def window(self, n: int) -> str:
         """The last ``n`` symbols, left to right: ``s_{-n} ... s_{-1}``."""
         t, p = self.transient, self.period
@@ -234,13 +230,6 @@ class LeftTail:
         if n <= len(t):
             return t[len(t) - n]
         return p[(len(p) - ((n - len(t)) % len(p))) % len(p)]
-
-    def pop(self) -> "LeftTail":
-        """Drop ``s_{-1}``, the symbol at the dot."""
-        if self.transient:
-            return LeftTail(self.period, self.transient[:-1])
-        p = self.period
-        return LeftTail(p[-1] + p[:-1], "")
 
     def push(self, sym: str) -> "LeftTail":
         """Append one symbol at the dot."""

@@ -24,12 +24,11 @@ from tentplane.arcs import (
     TAU_INF,
     _landing,
     flip_at,
-    match_indices,
     orbit_compare,
     side_of_level,
     window_projection,
-    window_taus,
 )
+from tentplane.kneading import head_matches
 from tentplane.sequences import Order
 
 GOLD = kneading_from_slope((1 + math.sqrt(5)) / 2)
@@ -39,17 +38,17 @@ SQ2 = kneading_from_slope(math.sqrt(2))
 
 def test_match_indices_frozen():
     a = parse_left("(011)010.")
-    assert match_indices(a, GOLD, 12) == [1, 3]
-    assert match_indices(parse_left("(011)110."), GOLD, 12) == [1, 3]
-    # n = 1 matches for every tail (empty window)
-    assert 1 in match_indices(parse_left("(0)."), GOLD, 5)
+    assert head_matches(a.window(11), GOLD) == [0, 2]
+    assert head_matches(parse_left("(011)110.").window(11), GOLD) == [0, 2]
+    # k = 0 matches for every tail (empty window)
+    assert 0 in head_matches(parse_left("(0).").window(4), GOLD)
 
 
 def test_match_indices_truncated_cap():
     fig = figure_nu()
     t = figure_tails()[0]
-    # scanning stops once the window would outrun the trusted symbols
-    assert match_indices(t, fig, 15) == [1, 2]
+    # no match outruns the trusted symbols
+    assert head_matches(t.window(14), fig) == [0, 1]
 
 
 def test_tau_frozen():
@@ -91,12 +90,16 @@ def test_window_agrees_with_tail(text):
 
 
 def test_window_taus_frozen():
-    assert window_taus("11010", GOLD) == (3, 1)
-    assert window_taus("10", GOLD) == (3, 1)
+    def taus(word, nu):
+        p = window_projection(word, nu)
+        return p.tau_l, p.tau_r
+
+    assert taus("11010", GOLD) == (3, 1)
+    assert taus("10", GOLD) == (3, 1)
     fig = figure_nu()
     w = figure_tails()[0].window(12)
     # cap sits at the trusted depth, not at the window length
-    assert window_taus(w, fig) == (2, 1)
+    assert taus(w, fig) == (2, 1)
     p = window_projection("11010", GOLD)
     assert (p.lo_index, p.hi_index, p.tau_l, p.tau_r, p.degenerate) == (3, 1, 3, 1, False)
 

@@ -30,7 +30,6 @@ from tentplane.cantor import parse_ternary
 from tentplane.glue import (
     GlueRegion,
     apply_gluing,
-    cauchy_gap,
     in_carved_region,
     in_region,
     moved_stages,
@@ -204,16 +203,6 @@ def test_stage_preserves_radius():
     assert rho_out == pytest.approx(rho_in, abs=1e-12)
 
 
-def test_cauchy_gap_values():
-    sc = reference_scene()
-    stack = build_glue_stack(sc)
-    j = sc.joins[0]
-    p = (float(j.x0), float(j.center) + float(j.radius))
-    assert cauchy_gap(stack, p, 2, 2) == 0.0
-    reg = next(r for r in stack if r.level == j.level)
-    assert cauchy_gap(stack, p, 0, len(stack)) <= float(reg.region_diam)
-
-
 def test_region_membership():
     big = GlueRegion(1, "right", 0.5, Fraction(4, 5), (Fraction(1, 4),), 0.5)
     assert in_region(big, (0.5, 0.8))
@@ -258,6 +247,90 @@ def test_certificates_value_mode():
     assert stack[0].x0 == pytest.approx(0.5)
     for fn in CERTS:
         assert fn(stack, sc)["ok"], fn.__name__
+
+
+# ------------------------------------------------------------------ oracle
+# The certificates as first written: every stage applied afresh to the
+# previous image, and every Cauchy prefix recomposed from the start.
+
+
+def _ref_image(stack, p, n):
+    q = (float(p[0]), float(p[1]))
+    for region in stack[:n]:
+        q = stage_map(region, q)
+    return q
+
+
+def ref_support(stack, scene, tol=1e-6):
+    pts = scene_samples(scene)
+    bad_support, bad_repeat = [], []
+    for p in pts:
+        cur, moved = p, []
+        for i, region in enumerate(stack):
+            q = stage_map(region, cur)
+            if math.hypot(q[0] - cur[0], q[1] - cur[1]) > 1e-12:
+                moved.append(i)
+                if not (in_carved_region(stack, i, cur, tol) and in_carved_region(stack, i, q, tol)):
+                    bad_support.append((p, stack[i].level))
+            cur = q
+        if len(moved) > 1:
+            bad_repeat.append((p, [stack[i].level for i in moved]))
+    return {"ok": not bad_support and not bad_repeat, "samples": len(pts),
+            "support_failures": bad_support, "repeat_movers": bad_repeat}
+
+
+def ref_displacement(stack, scene, tol=1e-9):
+    pts = scene_samples(scene)
+    worst, bad = 0.0, []
+    for p in pts:
+        cur = p
+        for region in stack:
+            q = stage_map(region, cur)
+            d = math.hypot(q[0] - cur[0], q[1] - cur[1])
+            if d > 0:
+                lim = float(region.region_diam)
+                worst = max(worst, d / lim)
+                if d > lim + tol:
+                    bad.append((p, region.level, d, lim))
+            cur = q
+    return {"ok": not bad, "samples": len(pts), "worst_ratio": worst, "failures": bad}
+
+
+def ref_cauchy(stack, scene, tol=1e-9):
+    pts = scene_samples(scene)
+    bad = []
+    for p in pts:
+        images = [_ref_image(stack, p, n) for n in range(len(stack) + 1)]
+        for n in range(len(stack) + 1):
+            for m in range(n + 1, len(stack) + 1):
+                gap = math.hypot(images[m][0] - images[n][0], images[m][1] - images[n][1])
+                lim = max((float(r.region_diam) for r in stack[n:m]), default=0.0)
+                if gap > lim + tol:
+                    bad.append((p, n, m, gap, lim))
+    return {"ok": not bad, "samples": len(pts), "failures": bad}
+
+
+@pytest.mark.parametrize("make", [
+    reference_scene,
+    lambda: build_scene(GOLD, "(101).", depth=5),
+    lambda: build_scene(kneading_from_slope(2.0), "(1).", depth=4),
+], ids=["figure-tails", "golden-depth-5", "slope-2-depth-4"])
+def test_certificates_agree_with_reference(make):
+    sc = make()
+    built = build_glue_stack(sc)
+    pairs = [(support_certificate, ref_support), (displacement_certificate, ref_displacement),
+             (cauchy_certificate, ref_cauchy)]
+    for stack in (built, built[::-1], built + built):
+        for p in scene_samples(sc):
+            assert apply_gluing(stack, p) == _ref_image(stack, p, len(stack))
+            assert apply_gluing(stack, p, upto=1) == _ref_image(stack, p, 1)
+        for fn, ref in pairs:
+            assert fn(stack, sc) == ref(stack, sc), fn.__name__
+            # a negative tolerance fails every checked pair, so the
+            # failure lists are full
+            full = fn(stack, sc, tol=-1.0)
+            assert full == ref(stack, sc, tol=-1.0), fn.__name__
+            assert not full["ok"]
 
 
 # ------------------------------------------------------------------- probe

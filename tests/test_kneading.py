@@ -21,10 +21,19 @@ from tentplane import (
     parse_right,
     validate_kneading,
 )
-from tentplane.kneading import C, kneading_from_text, modify_star, tent, tent_itinerary
-from tentplane.sequences import Order, plex_compare, plex_key
+from tentplane.arcs import Join, side_of_level
+from tentplane.kneading import (
+    C,
+    head_matches,
+    kneading_from_text,
+    modify_star,
+    tent,
+    tent_itinerary,
+)
+from tentplane.scene import _cylinder_pairs
+from tentplane.sequences import LeftTail, Order, plex_compare, plex_key
 
-from conftest import GOLDEN, figure_nu, figure_tails
+from conftest import GOLDEN, figure_nu, figure_tails, random_kneading
 
 slope_grid = st.integers(105, 200).map(lambda n: n / 100)
 
@@ -192,3 +201,93 @@ def test_truncated_admissibility():
     # 0000 provably undercuts the floor 0011... inside the trusted window
     assert not is_admissible_tail(parse_left("(0)."), nu)
     assert is_admissible_tail(parse_left("(1)."), nu)
+
+
+# ------------------------------------------------------------------ oracle
+# The rules the suffix scan replaced, written with plex_compare and string
+# slices: every suffix of a word is compared afresh with the heads of nu.
+
+
+def _ref_violation(word, lo, hi):
+    c = plex_compare(word, hi[: len(word)] if len(hi) > len(word) else hi)
+    if c.decided and c.order is Order.GREATER:
+        return True
+    c = plex_compare(word, lo[: len(word)] if len(lo) > len(word) else lo)
+    return c.decided and c.order is Order.LESS
+
+
+def _ref_bounds(nu, depth):
+    d = depth if nu.exact else min(depth, int(nu.validated_depth))
+    return d, nu.lower.expand(d), nu.upper.expand(d)
+
+
+def ref_admissible_tail(tail, nu, depth=None):
+    if depth is None:
+        depth = max(8, len(tail.transient) + len(tail.period),
+                    len(nu.seq.preperiod) + 2 * len(nu.seq.period))
+    depth, lo, hi = _ref_bounds(nu, depth)
+    win = tail.window(len(tail.transient) + len(tail.period) + 2 * depth)
+    return not any(_ref_violation(win[i : i + depth], lo, hi) for i in range(len(win)))
+
+
+def ref_cylinders(nu, depth):
+    _, lo, hi = _ref_bounds(nu, depth)
+    words = [""]
+    for _ in range(depth):
+        words = [w for w in (v + s for v in words for s in "01")
+                 if not any(_ref_violation(w[k:], lo, hi) for k in range(len(w)))]
+    return sorted(words, key=plex_key)
+
+
+def ref_head_matches(word, nu):
+    top = len(word) if nu.exact else min(len(word), int(nu.validated_depth))
+    return [k for k in range(top + 1) if word[len(word) - k :] == nu.expand(k)]
+
+
+def ref_cylinder_pairs(words, nu):
+    pool, out = set(words), []
+    for w in words:
+        n = len(w)
+        for i in range(n):
+            m = n - i
+            if w[i] == "1" or (not nu.exact and m - 1 > int(nu.validated_depth)):
+                continue
+            other = w[:i] + "1" + w[i + 1 :]
+            if w[i + 1 :] == nu.expand(m - 1) and other in pool:
+                out.append(Join(m, side_of_level(nu, m), w, other))
+    return out
+
+
+def _oracle_nus():
+    rng = random.Random(11)
+    exact = [kneading_from_slope(s) for s in (2.0, GOLDEN, math.sqrt(2.0))]
+    return exact + [random_kneading(rng) for _ in range(20)]
+
+
+@pytest.mark.parametrize("nu", _oracle_nus(), ids=str)
+def test_scan_agrees_with_reference_rules(nu):
+    rng = random.Random(str(nu))
+    for d in range(1, 11):
+        words = enumerate_cylinders(nu, d)
+        assert words == ref_cylinders(nu, d), d
+        # the scan finds a word's pairs shallow to deep, the reference deep
+        # to shallow; scenes sort joins, so only the set is pinned
+        pairs, ref = _cylinder_pairs(words, nu), ref_cylinder_pairs(words, nu)
+        assert len(pairs) == len(ref) and set(pairs) == set(ref), d
+        # nu cut at depth d: cylinders deeper than it is trusted, and words
+        # up to twice as long, whose matches must stop at the cut
+        cut = KneadingSequence(nu.seq, validated_depth=float(d))
+        if d <= 6:
+            assert enumerate_cylinders(cut, d + 2) == ref_cylinders(cut, d + 2), d
+        for w in words + [w + w for w in words]:
+            for k in (nu, cut):
+                got = head_matches(w, k)
+                assert got == ref_head_matches(w, k), (w, str(k))
+                assert max(got) <= k.validated_depth
+    for _ in range(40):
+        per = "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
+        head = "".join(rng.choice("01") for _ in range(rng.randint(0, 6)))
+        tail = LeftTail(per, head)
+        for depth in (None, 3, 7):
+            assert is_admissible_tail(tail, nu, depth) == ref_admissible_tail(tail, nu, depth), (
+                str(tail), depth)

@@ -1,6 +1,8 @@
-"""The package root's export list and unused imports in the modules."""
+"""The package root's export list, unused imports in the modules, and
+definitions that nothing names."""
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import tentplane
@@ -20,6 +22,7 @@ validate_kneading verify_noncrossing
 REMOVED = """
 TwoSidedSeq shift_two_sided parse_two_sided compare_tail_windows
 identify_partner tau_left tau_right is_admissible_right RankTie
+_window_violation _word_admissible match_indices window_taus cauchy_gap
 """.split()
 
 # __main__ runs the command line on import, so only the ast pass reads it
@@ -37,6 +40,8 @@ def test_root_exports():
             assert not hasattr(mod, name), (stem, name)
     for name in REMOVED:
         assert not hasattr(tentplane, name), name
+    for name in ("pop", "is_pure"):
+        assert not hasattr(tentplane.LeftTail, name), name
 
 
 def _unused_imports(source: str) -> list:
@@ -55,3 +60,37 @@ def _unused_imports(source: str) -> list:
 def test_modules_use_every_import():
     unused = {p.stem: _unused_imports(p.read_text()) for p in SOURCES}
     assert {mod: names for mod, names in unused.items() if names} == {}
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _definitions(tree) -> list:
+    """Top-level functions and classes, and the methods of the classes,
+    as (qualified name, bare name); dunder methods are called implicitly."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    out.append((f"{node.name}.{item.name}", item.name))
+    return out
+
+
+def unreached_definitions(repo: Path) -> list:
+    """Definitions in the package whose name appears nowhere but in their
+    own def line: not in src/, tests/, perfbench/ nor the README."""
+    files = [p for d in ("src", "tests", "perfbench") for p in (repo / d).rglob("*.py")]
+    text = "\n".join(p.read_text() for p in files + [repo / "README.md"])
+    out = []
+    for path in sorted((repo / "src" / "tentplane").glob("*.py")):
+        for qual, name in _definitions(ast.parse(path.read_text())):
+            if len(re.findall(rf"\b{re.escape(name)}\b", text)) < 2:
+                out.append(f"{path.stem}.{qual}")
+    return out
+
+
+def test_every_definition_is_named_somewhere():
+    assert unreached_definitions(REPO) == []

@@ -134,10 +134,10 @@ def test_left_window_consistent(per, tr, n):
 @given(short_words, maybe_word)
 def test_left_pop_push_roundtrip(per, tr):
     t = LeftTail(per, tr)
-    last = t.at(-1)
-    assert t.pop().push(last) == t
-    assert t.push("0").pop() == t
-    assert t.push("1").window(1) == "1"
+    for sym in "01":
+        pushed = t.push(sym)
+        assert pushed.window(1) == sym
+        assert pushed.window(len(tr) + 2 * len(per)) == t.window(len(tr) + 2 * len(per) - 1) + sym
 
 
 @given(short_words, maybe_word, short_words, maybe_word)

@@ -193,3 +193,15 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
         assert main(["verify", f"--{kind}", str(path)]) == 2, name
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+    # unreadable paths: a directory, bytes that are not UTF-8, an output
+    # path that is a directory
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"nu": "(101)", "L": "\xff"}')
+    argvs = [["verify", "--scene", str(tmp_path)], ["verify", "--config", str(tmp_path)],
+             ["verify", "--scene", str(latin)], ["verify", "--config", str(latin)],
+             ["scene", "--nu", "(101)", "--depth", "2", "--out", str(tmp_path)]]
+    for argv in argvs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "Traceback" not in err
