@@ -35,6 +35,7 @@ from .scene import (
     build_scene,
     scene_from_json,
     scene_to_json,
+    stored_geometry_check,
     verify_noncrossing,
 )
 from .sequences import parse_left, parse_right
@@ -144,11 +145,13 @@ def _nu_from(opts) -> KneadingSequence:
 
 
 def _scene_from(args):
-    """Build (scene, merged options) from the parsed arguments."""
+    """Build (scene, merged options, stored) from the parsed arguments;
+    ``stored`` is the scene file's JSON object, None without --scene."""
     opts = _merge_config(args)
     if getattr(args, "scene", None):
         with open(args.scene, encoding="utf-8") as fh:
-            return scene_from_json(fh.read()), opts
+            text = fh.read()
+        return scene_from_json(text), opts, json.loads(text)
     nu = _nu_from(opts)
     kwargs = {"x_mode": opts.get("x_mode") or "rank"}
     if opts.get("slope") is not None:
@@ -159,7 +162,7 @@ def _scene_from(args):
         kwargs["depth"] = opts["depth"]
     else:
         raise ParseError("need --tails or --depth")
-    return build_scene(nu, opts.get("context") or "(1).", **kwargs), opts
+    return build_scene(nu, opts.get("context") or "(1).", **kwargs), opts, None
 
 
 def _trim_stack(stack, opts):
@@ -214,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--portrait", action="store_true")
 
-    p = sub.add_parser("verify", help="planarity and betweenness checks")
+    p = sub.add_parser("verify", help="planarity, betweenness and stored-geometry checks")
     _add_source_args(p, with_scene=True)
 
     p = sub.add_parser("glue", help="build the glue stack and run certificates")
@@ -273,25 +276,27 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "scene":
-        scene, opts = _scene_from(args)
+        scene, opts, _ = _scene_from(args)
         _write(opts.get("out") or "-", scene_to_json(scene) + "\n")
         return 0
 
     if cmd == "render":
-        scene, opts = _scene_from(args)
+        scene, opts, _ = _scene_from(args)
         _write(opts.get("out") or "-", render_scene(scene, portrait=args.portrait))
         return 0
 
     if cmd == "verify":
-        scene, _ = _scene_from(args)
+        scene, _, stored = _scene_from(args)
         bad = verify_noncrossing(scene) + betweenness_check(scene)
+        if stored is not None:
+            bad += stored_geometry_check(stored, scene)
         for v in bad:
             print(json.dumps(v, sort_keys=True))
         print(f"{len(bad)} violation(s)")
         return 1 if bad else 0
 
     if cmd == "glue":
-        scene, opts = _scene_from(args)
+        scene, opts, _ = _scene_from(args)
         stack = _trim_stack(build_glue_stack(scene), opts)
         checks = {
             "support": support_certificate(stack, scene),
@@ -307,7 +312,7 @@ def _dispatch(args) -> int:
         return 0 if ok else 1
 
     if cmd == "probe":
-        scene, opts = _scene_from(args)
+        scene, opts, _ = _scene_from(args)
         stack = _trim_stack(build_glue_stack(scene), opts)
         rep = accessibility_probe(
             scene, stack, tail=args.tail, x=opts.get("x"), strict=args.strict

@@ -109,10 +109,6 @@ class GlueRegion:
     def region_diam(self) -> Fraction:
         return 2 * self.r_outer
 
-    def hull_bound_ok(self) -> bool:
-        # the hull of level-n bulges fits in 3^(1-n) of height
-        return self.hull_diam <= Fraction(1, 3 ** (self.level - 1))
-
 
 def build_glue_stack(scene: Scene) -> list:
     """One GlueRegion per join level, shallow to deep.

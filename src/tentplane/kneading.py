@@ -49,31 +49,6 @@ def tent(s: Number, x: Number) -> Number:
     return min(s * x, s * (1 - x))
 
 
-def tent_itinerary(s: Number, x: Number, n: int, eps: float = 1e-12) -> str:
-    """First n itinerary symbols of x under the slope-s tent map.
-
-    A landing on the turning point normally emits ``*``.  When the
-    turning point itself is periodic for this slope the star has a forced
-    resolution (the completion picked by modify_star), so that symbol is
-    emitted instead.  Iteration continues either way.
-    """
-    if not 0 <= x <= 1:
-        raise MalformedSequence(f"point must lie in [0, 1], got {x!r}")
-    nu = kneading_from_slope(s, eps=eps)
-    # a purely periodic kneading sequence happens exactly when c is periodic
-    star_sym = nu.seq.period[-1] if nu.exact and nu.seq.is_periodic else "*"
-    out = []
-    for _ in range(n):
-        if abs(x - C) <= eps:
-            out.append(star_sym)
-        elif x < C:
-            out.append("0")
-        else:
-            out.append("1")
-        x = tent(s, x)
-    return "".join(out)
-
-
 def modify_star(seq: Union[str, RightSeq]) -> RightSeq:
     """Resolve a periodic itinerary whose period ends at the turning point.
 

@@ -12,8 +12,14 @@ its block-midpoint height).
 
 ``verify_noncrossing`` checks the planarity contract: no segment pokes
 through a bulge, and no two same-side bulges at the same abscissa
-interleave.  In rank mode every coordinate is rational and the checks
-are exact; in value mode they are float comparisons with a tolerance.
+interleave.  In rank mode every coordinate is rational, and both it and
+``betweenness_check`` run exactly on one integer grid per scene, built
+inside each call: heights scaled by the lcm of their denominators,
+abscissae by the lcm of theirs.  In value mode they are float
+comparisons with a tolerance.
+
+``stored_geometry_check`` compares the rows of a scene file with the
+scene rebuilt from it.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arcs import (
     Join,
@@ -188,18 +194,42 @@ def _cylinder_pairs(words, nu: KneadingSequence) -> list:
 # ---------------------------------------------------------------- geometry
 
 
-def _crosses_exact(side: str, x0, rr, x_lo, x_hi) -> bool:
-    if side == "right":
-        d = x_hi - x0
-        if not (d > 0 and d * d > rr):
-            return False
-        d = x_lo - x0
-        return x_lo < x0 or d * d < rr
-    d = x_lo - x0
-    if not (d < 0 and d * d > rr):
-        return False
-    d = x_hi - x0
-    return x_hi > x0 or d * d < rr
+class _Grid(NamedTuple):
+    """A rank-mode scene on one integer grid: height y is ``y * dy`` and
+    abscissa x is ``x * dx``, where ``dy`` and ``dx`` are the lcms of the
+    heights' and the abscissae's denominators."""
+
+    dy: int
+    dx: int
+    segments: list  # sorted by height
+    ys: list  # their heights, ascending
+    x_lo: list
+    x_hi: list
+    joins: list  # (y_lo, y_hi, x0) of each scene join, in scene order
+
+
+def _grid(scene: Scene) -> _Grid:
+    by_y = sorted(scene.segments, key=lambda s: s.y.value)
+    heights = [s.y.value for s in by_y]
+    ends = [(j.y_lo, j.y_hi, j.x0) for j in scene.joins]
+    dy = math.lcm(*{q.denominator for q in heights}, *{q.denominator for e in ends for q in e[:2]})
+    dx = math.lcm(
+        *{q.denominator for s in by_y for q in (s.x_lo, s.x_hi)},
+        *{e[2].denominator for e in ends},
+    )
+
+    def on(q, d: int) -> int:
+        return q.numerator * (d // q.denominator)
+
+    return _Grid(
+        dy,
+        dx,
+        by_y,
+        [on(q, dy) for q in heights],
+        [on(s.x_lo, dx) for s in by_y],
+        [on(s.x_hi, dx) for s in by_y],
+        [(on(lo, dy), on(hi, dy), on(x0, dx)) for lo, hi, x0 in ends],
+    )
 
 
 def _crosses_float(side: str, x0, rr, x_lo, x_hi, tol: float) -> bool:
@@ -209,14 +239,27 @@ def _crosses_float(side: str, x0, rr, x_lo, x_hi, tol: float) -> bool:
     return pen > tol
 
 
+def _join_key(j: SceneJoin) -> tuple:
+    return (j.level, j.low.label, j.high.label)
+
+
+def _segment_join(s: Segment, j: SceneJoin) -> dict:
+    return {"kind": "segment-join", "segment": s.label, "join": _join_key(j)}
+
+
+def _join_join(a: SceneJoin, b: SceneJoin) -> dict:
+    return {"kind": "join-join", "join_a": _join_key(a), "join_b": _join_key(b)}
+
+
 def verify_noncrossing(scene: Scene, tol: float = 1e-9) -> list:
     """All planarity violations; empty means the drawing is clean.
 
     Checks bulge against segment and bulge against same-abscissa,
-    same-side bulge.  Exact arithmetic in rank mode, tolerance ``tol``
-    in value mode.
+    same-side bulge.  Exact integer arithmetic in rank mode, tolerance
+    ``tol`` in value mode.
     """
-    exact = scene.x_mode == "rank"
+    if scene.x_mode == "rank":
+        return _noncrossing_exact(scene)
     out = []
     # scan segments by height so each join only visits its own gap
     by_y = sorted(scene.segments, key=lambda s: s.y.value)
@@ -226,43 +269,52 @@ def verify_noncrossing(scene: Scene, tol: float = 1e-9) -> list:
         yc, r = (ylo + yhi) / 2, (yhi - ylo) / 2
         for k in range(bisect_right(ys, ylo), bisect_left(ys, yhi)):
             s = by_y[k]
-            y = ys[k]
-            dy = y - yc
+            dy = ys[k] - yc
             rr = r * r - dy * dy
-            if exact:
-                bad = _crosses_exact(j.side, j.x0, rr, s.x_lo, s.x_hi)
-            else:
-                bad = _crosses_float(j.side, float(j.x0), float(rr), float(s.x_lo), float(s.x_hi), tol)
-            if bad:
-                out.append(
-                    {
-                        "kind": "segment-join",
-                        "segment": s.label,
-                        "join": (j.level, j.low.label, j.high.label),
-                    }
-                )
-    spans = [(j.y_lo, j.y_hi) for j in scene.joins]
+            if _crosses_float(j.side, float(j.x0), float(rr), float(s.x_lo), float(s.x_hi), tol):
+                out.append(_segment_join(s, j))
     js = scene.joins
     for a in range(len(js)):
         for b in range(a + 1, len(js)):
             ja, jb = js[a], js[b]
-            if ja.side != jb.side:
+            if ja.side != jb.side or abs(float(ja.x0) - float(jb.x0)) > tol:
                 continue
-            if exact:
-                if ja.x0 != jb.x0:
-                    continue
-            elif abs(float(ja.x0) - float(jb.x0)) > tol:
-                continue
-            alo, ahi = spans[a]
-            blo, bhi = spans[b]
+            if (ja.y_lo < jb.y_lo < ja.y_hi) != (ja.y_lo < jb.y_hi < ja.y_hi):
+                out.append(_join_join(ja, jb))
+    return out
+
+
+def _noncrossing_exact(scene: Scene) -> list:
+    g = _grid(scene)
+    dy2, dx2 = g.dy * g.dy, g.dx * g.dx
+    ys, js = g.ys, scene.joins
+    out = []
+    for j, (ylo, yhi, x0) in zip(js, g.joins):
+        right = j.side == "right"
+        for k in range(bisect_right(ys, ylo), bisect_left(ys, yhi)):
+            y = ys[k]
+            # the bulge meets height y at x0 +- arm with arm^2 =
+            # (y - ylo)(yhi - y); on the grid, arm^2 * dx^2 * dy^2 is rr
+            rr = (y - ylo) * (yhi - y) * dx2
+            lo, hi = g.x_lo[k] - x0, g.x_hi[k] - x0
+            if not right:
+                lo, hi = -hi, -lo  # mirror a left bulge onto the right
+            # one end beyond the arm, the other inside it
+            if hi > 0 and hi * hi * dy2 > rr and (lo < 0 or lo * lo * dy2 < rr):
+                out.append(_segment_join(g.segments[k], j))
+    # same-side bulges at one abscissa: compare within each chart only,
+    # in the global (a, b) order (the interleave test is not symmetric)
+    charts: dict = {}
+    place = []  # each join's position in its chart
+    for a, (j, (_, _, x0)) in enumerate(zip(js, g.joins)):
+        chart = charts.setdefault((j.side, x0), [])
+        place.append(len(chart))
+        chart.append(a)
+    for a, (alo, ahi, x0) in enumerate(g.joins):
+        for b in charts[js[a].side, x0][place[a] + 1 :]:
+            blo, bhi, _ = g.joins[b]
             if (alo < blo < ahi) != (alo < bhi < ahi):
-                out.append(
-                    {
-                        "kind": "join-join",
-                        "join_a": (ja.level, ja.low.label, ja.high.label),
-                        "join_b": (jb.level, jb.low.label, jb.high.label),
-                    }
-                )
+                out.append(_join_join(js[a], js[b]))
     return out
 
 
@@ -273,22 +325,31 @@ def betweenness_check(scene: Scene, tol: float = 1e-9) -> list:
     join's last m-1 symbols and must not reach past the join's abscissa
     on the bulge side.
     """
-    exact = scene.x_mode == "rank"
-    nu = scene.nu
+    if scene.x_mode == "rank":
+        g = _grid(scene)
+        by_y, ys, x_lo, x_hi, spans = g.segments, g.ys, g.x_lo, g.x_hi, g.joins
+        tol = 0  # integer grid: exact
+    else:
+        by_y = sorted(scene.segments, key=lambda s: s.y.value)
+        ys = [s.y.value for s in by_y]
+        x_lo = [float(s.x_lo) for s in by_y]
+        x_hi = [float(s.x_hi) for s in by_y]
+        spans = [(j.y_lo, j.y_hi, float(j.x0)) for j in scene.joins]
+    heads: dict = {}
     out = []
-    by_y = sorted(scene.segments, key=lambda s: s.y.value)
-    ys = [s.y.value for s in by_y]
-    for j in scene.joins:
-        head = nu.expand(j.level - 1)
-        for k in range(bisect_right(ys, j.y_lo), bisect_left(ys, j.y_hi)):
+    for j, (ylo, yhi, x0) in zip(scene.joins, spans):
+        m = j.level - 1
+        if m not in heads:
+            heads[m] = scene.nu.expand(m)
+        for k in range(bisect_right(ys, ylo), bisect_left(ys, yhi)):
             s = by_y[k]
-            if s.last(j.level - 1) != head:
+            if s.last(m) != heads[m]:
                 out.append({"kind": "foreign-symbols", "segment": s.label, "level": j.level})
                 continue
             if j.side == "right":
-                ok = s.x_hi <= j.x0 if exact else float(s.x_hi) <= float(j.x0) + tol
+                ok = x_hi[k] <= x0 + tol
             else:
-                ok = s.x_lo >= j.x0 if exact else float(s.x_lo) >= float(j.x0) - tol
+                ok = x_lo[k] >= x0 - tol
             if not ok:
                 out.append({"kind": "x-overreach", "segment": s.label, "level": j.level})
     return out
@@ -361,7 +422,8 @@ def _field(data: dict, key: str, kinds, default=_REQUIRED):
 def scene_from_dict(data: dict) -> Scene:
     """Rebuild a scene from its kneading sequence, context, mode and tails.
 
-    The stored geometry is not read back; the scene is recomputed.
+    The stored geometry is not read back; the scene is recomputed, and
+    ``stored_geometry_check`` compares the stored rows with it.
     """
     if not isinstance(data, dict):
         raise ParseError("scene must be a JSON object")
@@ -383,6 +445,24 @@ def scene_from_dict(data: dict) -> Scene:
             raise ParseError("scene key 'segments' holds a row that is not an object")
         tails.append(_field(row, "label", str, _field(row, "tail", str)))
     return build_scene(nu, context, tails=tails, x_mode=x_mode, slope=slope)
+
+
+def stored_geometry_check(data: dict, scene: Scene) -> list:
+    """One ``stored-geometry`` violation per ``segments`` or ``joins`` row
+    of a scene file that differs from the row ``scene_to_dict`` writes
+    for the scene rebuilt from it (JSON keeps its floats and ternary
+    strings exactly)."""
+    want = scene_to_dict(scene)
+    out = []
+    for key in ("segments", "joins"):
+        rows = _field(data, key, list, [])
+        rebuilt = want[key]
+        for i in range(max(len(rows), len(rebuilt))):
+            got = rows[i] if i < len(rows) else None
+            row = rebuilt[i] if i < len(rebuilt) else None
+            if got != row:
+                out.append({"kind": "stored-geometry", "row": f"{key}[{i}]", "stored": got, "rebuilt": row})
+    return out
 
 
 def scene_from_json(text: str) -> Scene:

@@ -28,7 +28,6 @@ from tentplane.kneading import (
     kneading_from_text,
     modify_star,
     tent,
-    tent_itinerary,
 )
 from tentplane.scene import _cylinder_pairs
 from tentplane.sequences import LeftTail, Order, plex_compare, plex_key
@@ -36,6 +35,32 @@ from tentplane.sequences import LeftTail, Order, plex_compare, plex_key
 from conftest import GOLDEN, figure_nu, figure_tails, random_kneading
 
 slope_grid = st.integers(105, 200).map(lambda n: n / 100)
+
+
+def tent_itinerary(s, x, n, eps=1e-12):
+    """First n itinerary symbols of x under the slope-s tent map: the
+    float reference the kneading code is checked against.
+
+    A landing on the turning point normally emits ``*``.  When the
+    turning point itself is periodic for this slope the star has a forced
+    resolution (the completion picked by modify_star), so that symbol is
+    emitted instead.  Iteration continues either way.
+    """
+    if not 0 <= x <= 1:
+        raise MalformedSequence(f"point must lie in [0, 1], got {x!r}")
+    nu = kneading_from_slope(s, eps=eps)
+    # a purely periodic kneading sequence happens exactly when c is periodic
+    star_sym = nu.seq.period[-1] if nu.exact and nu.seq.is_periodic else "*"
+    out = []
+    for _ in range(n):
+        if abs(x - C) <= eps:
+            out.append(star_sym)
+        elif x < C:
+            out.append("0")
+        else:
+            out.append("1")
+        x = tent(s, x)
+    return "".join(out)
 
 
 def test_tent_map():

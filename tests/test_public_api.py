@@ -23,6 +23,7 @@ REMOVED = """
 TwoSidedSeq shift_two_sided parse_two_sided compare_tail_windows
 identify_partner tau_left tau_right is_admissible_right RankTie
 _window_violation _word_admissible match_indices window_taus cauchy_gap
+tent_itinerary _crosses_exact
 """.split()
 
 # __main__ runs the command line on import, so only the ast pass reads it
@@ -42,6 +43,7 @@ def test_root_exports():
         assert not hasattr(tentplane, name), name
     for name in ("pop", "is_pure"):
         assert not hasattr(tentplane.LeftTail, name), name
+    assert not hasattr(importlib.import_module("tentplane.glue").GlueRegion, "hull_bound_ok")
 
 
 def _unused_imports(source: str) -> list:

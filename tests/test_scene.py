@@ -1,12 +1,14 @@
 """Scene assembly, planarity checks, and serialization."""
 import dataclasses
 import json
+from bisect import bisect_left, bisect_right
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import figure_nu, figure_tails, figure_labels
+from conftest import figure_nu, figure_tails, figure_labels, random_tail
 
 from tentplane import (
     AmbiguousAtDepth,
@@ -24,10 +26,12 @@ from tentplane import (
     scene_to_json,
     verify_noncrossing,
 )
+from tentplane.cantor import CantorCoordinate
 from tentplane.kneading import kneading_from_text
 from tentplane.scene import scene_to_dict
 
 GOLD = kneading_from_slope((1 + math.sqrt(5)) / 2)
+TRUNCATED_NU = KneadingSequence(RightSeq("10111101110101", "0"), validated_depth=14.0)
 
 JOIN_SET = {
     (1, "right", "N12", "N1"),
@@ -230,3 +234,144 @@ def test_truncated_nu_deeper_than_decided():
     except AmbiguousAtDepth:
         return
     assert verify_noncrossing(sc) == [] and betweenness_check(sc) == []
+
+
+# ---------------------------------------------- Fraction reference checkers
+# the rank-mode bodies of verify_noncrossing and betweenness_check before
+# they moved onto the integer grid
+
+
+def _crosses_exact(side, x0, rr, x_lo, x_hi):
+    if side == "right":
+        d = x_hi - x0
+        if not (d > 0 and d * d > rr):
+            return False
+        d = x_lo - x0
+        return x_lo < x0 or d * d < rr
+    d = x_lo - x0
+    if not (d < 0 and d * d > rr):
+        return False
+    d = x_hi - x0
+    return x_hi > x0 or d * d < rr
+
+
+def _reference_noncrossing(scene):
+    out = []
+    by_y = sorted(scene.segments, key=lambda s: s.y.value)
+    ys = [s.y.value for s in by_y]
+    for j in scene.joins:
+        ylo, yhi = j.y_lo, j.y_hi
+        yc, r = (ylo + yhi) / 2, (yhi - ylo) / 2
+        for k in range(bisect_right(ys, ylo), bisect_left(ys, yhi)):
+            s = by_y[k]
+            y = ys[k]
+            dy = y - yc
+            rr = r * r - dy * dy
+            if _crosses_exact(j.side, j.x0, rr, s.x_lo, s.x_hi):
+                out.append(
+                    {
+                        "kind": "segment-join",
+                        "segment": s.label,
+                        "join": (j.level, j.low.label, j.high.label),
+                    }
+                )
+    spans = [(j.y_lo, j.y_hi) for j in scene.joins]
+    js = scene.joins
+    for a in range(len(js)):
+        for b in range(a + 1, len(js)):
+            ja, jb = js[a], js[b]
+            if ja.side != jb.side or ja.x0 != jb.x0:
+                continue
+            alo, ahi = spans[a]
+            blo, bhi = spans[b]
+            if (alo < blo < ahi) != (alo < bhi < ahi):
+                out.append(
+                    {
+                        "kind": "join-join",
+                        "join_a": (ja.level, ja.low.label, ja.high.label),
+                        "join_b": (jb.level, jb.low.label, jb.high.label),
+                    }
+                )
+    return out
+
+
+def _reference_betweenness(scene):
+    nu = scene.nu
+    out = []
+    by_y = sorted(scene.segments, key=lambda s: s.y.value)
+    ys = [s.y.value for s in by_y]
+    for j in scene.joins:
+        head = nu.expand(j.level - 1)
+        for k in range(bisect_right(ys, j.y_lo), bisect_left(ys, j.y_hi)):
+            s = by_y[k]
+            if s.last(j.level - 1) != head:
+                out.append({"kind": "foreign-symbols", "segment": s.label, "level": j.level})
+                continue
+            if j.side == "right":
+                ok = s.x_hi <= j.x0
+            else:
+                ok = s.x_lo >= j.x0
+            if not ok:
+                out.append({"kind": "x-overreach", "segment": s.label, "level": j.level})
+    return out
+
+
+def _fan(scene, rng, n=8):
+    """Every pair of the n lowest segments joined in the chart of the
+    first join, in random order: shared endpoints in every arrangement."""
+    j0 = scene.joins[0]
+    segs = scene.segments[:n]
+    joins = [SceneJoin(j0.level, j0.side, a, b, j0.x0) for i, a in enumerate(segs) for b in segs[i + 1 :]]
+    rng.shuffle(joins)
+    return dataclasses.replace(scene, joins=joins)
+
+
+def _on_arc(scene):
+    """Segments at heights 0, 1/2 and 1 under two bulges of radius 1/2
+    whose arcs pass exactly through the ends of the two middle segments."""
+    a, b, c, d = (dataclasses.replace(s, y=CantorCoordinate("", t)) for s, t in zip(scene.segments, "0121"))
+    b = dataclasses.replace(b, x_lo=Fraction(0), x_hi=Fraction(3, 4))
+    d = dataclasses.replace(d, x_lo=Fraction(3, 4), x_hi=Fraction(1))
+    joins = [SceneJoin(1, "right", a, c, Fraction(1, 4)), SceneJoin(2, "left", a, c, Fraction(1, 2))]
+    return dataclasses.replace(scene, segments=[a, b, d, c], joins=joins)
+
+
+def _oracle_scenes():
+    """(name, scene): rank cylinder and explicit-tail scenes, scrambled
+    controls and the truncated-nu scene."""
+    rng = random.Random(4)
+    for name, nu in (("slope-2", kneading_from_slope(2.0)), ("golden", GOLD),
+                     ("sqrt2", kneading_from_slope(math.sqrt(2)))):
+        ctxs = []
+        while len(ctxs) < 2:
+            L = random_tail(rng, nu)
+            if L not in ctxs:
+                ctxs.append(L)
+        for L in ctxs:
+            for d in range(3, 11):
+                yield f"{name} {L} depth {d}", build_scene(nu, L, depth=d)
+    tails = figure_tails()
+    fig = build_scene(figure_nu(), "(1).", tails=tails + [parse_left("(1).")])
+    yield "figure (1).", fig
+    yield "figure N6", build_scene(figure_nu(), tails[5], tails=tails)
+    gold6 = build_scene(GOLD, "(101).", depth=6)
+    for seed in range(10):
+        yield f"figure scrambled {seed}", _permute_heights(fig, random.Random(seed))
+        yield f"golden scrambled {seed}", _permute_heights(gold6, random.Random(seed))
+        yield f"golden fan {seed}", _fan(gold6, random.Random(seed))
+    yield "on the arc", _on_arc(gold6)
+    yield "truncated nu", build_scene(TRUNCATED_NU, "(0111)1.", depth=13)
+
+
+def test_checkers_agree_with_reference():
+    kinds = set()
+    for name, sc in _oracle_scenes():
+        assert sc.x_mode == "rank"
+        got = verify_noncrossing(sc)
+        assert got == _reference_noncrossing(sc), name
+        between = betweenness_check(sc)
+        assert between == _reference_betweenness(sc), name
+        kinds.update(v["kind"] for v in got + between)
+        if name == "truncated nu":
+            assert len(got + between) == 52
+    assert kinds == {"segment-join", "join-join", "foreign-symbols", "x-overreach"}

@@ -102,6 +102,54 @@ def test_cli_scene_and_verify(tmp_path):
     assert run("verify", "--scene", str(tmp_path / "missing.json"))[0] == 2
 
 
+def _written_scene(tmp_path, *argv):
+    path = tmp_path / "scene.json"
+    assert run("scene", *argv, "--out", str(path)) == (0, "")
+    return path
+
+
+def test_cli_verify_untouched_scene_file(tmp_path):
+    for argv in (["--nu", "(101)", "--L", "(1).", "--depth", "4"],
+                 ["--slope", str((1 + math.sqrt(5)) / 2), "--L", "(101).",
+                  "--tails", "(011)010.", "(011)110.", "--x-mode", "value"],
+                 ["--slope", "2", "--L", "(10).", "--depth", "5"]):
+        path = _written_scene(tmp_path, *argv)
+        rebuilt = run("verify", *argv)
+        assert run("verify", "--scene", str(path)) == rebuilt
+        assert rebuilt[0] == 0
+
+
+def test_cli_verify_tampered_scene_file(tmp_path):
+    path = _written_scene(tmp_path, "--nu", "(101)", "--L", "(1).", "--depth", "4")
+    data = json.loads(path.read_text())
+    n_segs, n_joins = len(data["segments"]), len(data["joins"])
+    for row in data["segments"]:
+        row["y"], row["x_lo"] = "0(1)", 0.9
+    data["joins"] = []
+    path.write_text(json.dumps(data))
+    code, out = run("verify", "--scene", str(path))
+    lines = out.splitlines()
+    assert code == 1 and lines[-1] == f"{n_segs + n_joins} violation(s)"
+    bad = [json.loads(line) for line in lines[:-1]]
+    assert {v["kind"] for v in bad} == {"stored-geometry"}
+    assert [v["row"] for v in bad] == (
+        [f"segments[{i}]" for i in range(n_segs)] + [f"joins[{i}]" for i in range(n_joins)])
+    assert bad[0]["stored"]["y"] == "0(1)" and bad[-1]["stored"] is None
+
+    # one changed digit of one row is one violation
+    data = json.loads(_written_scene(tmp_path, "--nu", "(101)", "--L", "(1).",
+                                     "--depth", "4").read_text())
+    data["joins"][1]["x0"] += 1e-12
+    path.write_text(json.dumps(data))
+    code, out = run("verify", "--scene", str(path))
+    assert code == 1 and out.splitlines()[-1] == "1 violation(s)"
+    assert json.loads(out.splitlines()[0])["row"] == "joins[1]"
+
+    data["joins"] = "none"
+    path.write_text(json.dumps(data))
+    assert run("verify", "--scene", str(path))[0] == 2
+
+
 def test_cli_render(tmp_path):
     code, out = run("render", "--nu", "(101)", "--L", "(101).", "--depth", "3")
     assert code == 0 and out.startswith("<svg")
