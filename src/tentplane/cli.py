@@ -145,13 +145,15 @@ def _nu_from(opts) -> KneadingSequence:
 
 
 def _scene_from(args):
-    """Build (scene, merged options, stored) from the parsed arguments;
-    ``stored`` is the scene file's JSON object, None without --scene."""
+    """Build (scene, merged options, stored-geometry violations) from the
+    parsed arguments; the violations compare a --scene file's rows with
+    the rebuilt scene and are empty without --scene."""
     opts = _merge_config(args)
     if getattr(args, "scene", None):
         with open(args.scene, encoding="utf-8") as fh:
             text = fh.read()
-        return scene_from_json(text), opts, json.loads(text)
+        scene = scene_from_json(text)
+        return scene, opts, stored_geometry_check(json.loads(text), scene)
     nu = _nu_from(opts)
     kwargs = {"x_mode": opts.get("x_mode") or "rank"}
     if opts.get("slope") is not None:
@@ -162,14 +164,24 @@ def _scene_from(args):
         kwargs["depth"] = opts["depth"]
     else:
         raise ParseError("need --tails or --depth")
-    return build_scene(nu, opts.get("context") or "(1).", **kwargs), opts, None
+    return build_scene(nu, opts.get("context") or "(1).", **kwargs), opts, []
 
 
 def _trim_stack(stack, opts):
     n = opts.get("glue_stages")
     if n is None:
         return stack
+    if n < 0:
+        raise ParseError(f"glue stages must be at least 0, got {n}")
     return [r for r in stack if r.level <= n]
+
+
+def _report(bad) -> int:
+    # one JSON line per violation, then the count; exit 1 on any
+    for v in bad:
+        print(json.dumps(v, sort_keys=True))
+    print(f"{len(bad)} violation(s)")
+    return 1 if bad else 0
 
 
 def _write(path, text: str):
@@ -275,28 +287,22 @@ def _dispatch(args) -> int:
             print(w)
         return 0
 
+    scene, opts, stored_bad = _scene_from(args)
+    if cmd == "verify":
+        return _report(verify_noncrossing(scene) + betweenness_check(scene) + stored_bad)
+    if stored_bad:
+        # a scene file that disagrees with its rebuild is not used
+        return _report(stored_bad)
+
     if cmd == "scene":
-        scene, opts, _ = _scene_from(args)
         _write(opts.get("out") or "-", scene_to_json(scene) + "\n")
         return 0
 
     if cmd == "render":
-        scene, opts, _ = _scene_from(args)
         _write(opts.get("out") or "-", render_scene(scene, portrait=args.portrait))
         return 0
 
-    if cmd == "verify":
-        scene, _, stored = _scene_from(args)
-        bad = verify_noncrossing(scene) + betweenness_check(scene)
-        if stored is not None:
-            bad += stored_geometry_check(stored, scene)
-        for v in bad:
-            print(json.dumps(v, sort_keys=True))
-        print(f"{len(bad)} violation(s)")
-        return 1 if bad else 0
-
     if cmd == "glue":
-        scene, opts, _ = _scene_from(args)
         stack = _trim_stack(build_glue_stack(scene), opts)
         checks = {
             "support": support_certificate(stack, scene),
@@ -312,7 +318,6 @@ def _dispatch(args) -> int:
         return 0 if ok else 1
 
     if cmd == "probe":
-        scene, opts, _ = _scene_from(args)
         stack = _trim_stack(build_glue_stack(scene), opts)
         rep = accessibility_probe(
             scene, stack, tail=args.tail, x=opts.get("x"), strict=args.strict

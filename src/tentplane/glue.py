@@ -23,9 +23,12 @@ rational out) so identities can be asserted without tolerance.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from itertools import accumulate, count
+from typing import NamedTuple, Optional
 
 from .errors import ChartOverflow, TentplaneError, WrongContext
 from .scene import Scene
@@ -81,6 +84,15 @@ def fiber_collapse(waist, x, y):
     return (x, collapse_profile(a, y))
 
 
+class FloatChart(NamedTuple):
+    """A region's chart in floats, each the float of its exact value."""
+
+    radii: tuple  # ascending floats
+    center_y: float
+    r_outer: float
+    region_diam: float
+
+
 @dataclass(frozen=True)
 class GlueRegion:
     """Chart data for one join level: concentric bulges and their tube."""
@@ -108,6 +120,16 @@ class GlueRegion:
     @property
     def region_diam(self) -> Fraction:
         return 2 * self.r_outer
+
+    @cached_property
+    def chart(self) -> FloatChart:
+        # converted once per region; a replaced copy builds its own
+        return FloatChart(
+            tuple(float(r) for r in self.radii),
+            float(self.center_y),
+            float(self.r_outer),
+            float(self.region_diam),
+        )
 
 
 def build_glue_stack(scene: Scene) -> list:
@@ -163,7 +185,8 @@ def stage_map(region: GlueRegion, point) -> tuple:
     put.  All bulges of the level then land on their shared apexes while
     the tube boundary, and everything beyond it, is untouched."""
     px, py = float(point[0]), float(point[1])
-    cy = float(region.center_y)
+    chart = region.chart
+    cy = chart.center_y
     h = px - region.x0
     if region.side == "left":
         h = -h
@@ -171,7 +194,16 @@ def stage_map(region: GlueRegion, point) -> tuple:
     rho = math.hypot(h, dy)
     if rho == 0.0:
         return (px, py)
-    dist = min(abs(rho - float(r)) for r in region.radii)
+    # float subtraction is monotone, so the nearest radius is one of the
+    # two neighbours of rho in the ascending tuple
+    radii = chart.radii
+    i = bisect_left(radii, rho)
+    if i == 0:
+        dist = radii[0] - rho
+    elif i == len(radii):
+        dist = rho - radii[-1]
+    else:
+        dist = min(rho - radii[i - 1], radii[i] - rho)
     a = dist / region.eps
     if a >= 1.0:
         return (px, py)
@@ -209,9 +241,10 @@ def moved_stages(stack, point, tol: float = 1e-12) -> list:
 
 def in_region(region: GlueRegion, point, slack: float = 0.0) -> bool:
     """Inside the closed collared disk of a region (V), up to slack."""
+    chart = region.chart
     dx = float(point[0]) - region.x0
-    dy = float(point[1]) - float(region.center_y)
-    return math.hypot(dx, dy) <= float(region.r_outer) + slack
+    dy = float(point[1]) - chart.center_y
+    return math.hypot(dx, dy) <= chart.r_outer + slack
 
 
 def in_carved_region(stack, i: int, point, slack: float = 0.0) -> bool:
@@ -274,7 +307,7 @@ def displacement_certificate(stack, scene: Scene, tol: float = 1e-9) -> dict:
     for p in pts:
         for region, d in zip(stack, _hops(stage_path(stack, p))):
             if d > 0:
-                lim = float(region.region_diam)
+                lim = region.chart.region_diam
                 worst = max(worst, d / lim)
                 if d > lim + tol:
                     bad.append((p, region.level, d, lim))
@@ -285,17 +318,16 @@ def cauchy_certificate(stack, scene: Scene, tol: float = 1e-9) -> dict:
     """Tail estimate: between any two prefix depths the image moves at
     most by the largest region diameter in the window."""
     pts = scene_samples(scene)
-    diams = [float(r.region_diam) for r in stack]
+    diams = [r.chart.region_diam for r in stack]
+    # lims[n][m - n - 1]: the largest diameter of stages n+1..m
+    lims = [list(accumulate(diams[n:], max, initial=0.0))[1:] for n in range(len(stack))]
     bad = []
     for p in pts:
         images = stage_path(stack, p)
-        for n in range(len(stack) + 1):
-            lim = 0.0  # running max of the diameters of stages n+1..m
-            for m in range(n + 1, len(stack) + 1):
-                lim = max(lim, diams[m - 1])
-                gap = math.hypot(
-                    images[m][0] - images[n][0], images[m][1] - images[n][1]
-                )
+        for n, row in enumerate(lims):
+            xn, yn = images[n]
+            for m, (xm, ym), lim in zip(count(n + 1), images[n + 1 :], row):
+                gap = math.hypot(xm - xn, ym - yn)
                 if gap > lim + tol:
                     bad.append((p, n, m, gap, lim))
     return {"ok": not bad, "samples": len(pts), "failures": bad}
@@ -312,7 +344,7 @@ def collapse_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
         sgn = 1 if region.side == "right" else -1
         for j in per_level[region.level]:
             r = float(j.radius)
-            cy = float(region.center_y)
+            cy = region.chart.center_y
             apex = (region.x0 + sgn * r, cy)
             apexes.append((region.level, apex))
             for u in (-0.5, -0.3, 0.0, 0.3, 0.5):

@@ -1,5 +1,6 @@
 """Fiber squeeze, glue charts, certificates, and the probe."""
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -251,14 +252,51 @@ def test_certificates_value_mode():
 
 
 # ------------------------------------------------------------------ oracle
-# The certificates as first written: every stage applied afresh to the
-# previous image, and every Cauchy prefix recomposed from the start.
+# The stage map and region tests as first written, converting every
+# Fraction on each call and scanning every radius; and the certificates
+# as first written: every stage applied afresh to the previous image,
+# and every Cauchy prefix recomposed from the start.
+
+
+def _ref_stage_map(region, point):
+    px, py = float(point[0]), float(point[1])
+    cy = float(region.center_y)
+    h = px - region.x0
+    if region.side == "left":
+        h = -h
+    dy = py - cy
+    rho = math.hypot(h, dy)
+    if rho == 0.0:
+        return (px, py)
+    dist = min(abs(rho - float(r)) for r in region.radii)
+    a = dist / region.eps
+    if a >= 1.0:
+        return (px, py)
+    theta = math.atan2(dy, h)
+    u2 = collapse_profile(a, theta / math.pi)
+    t2 = u2 * math.pi
+    h2 = rho * math.cos(t2)
+    ny = cy + rho * math.sin(t2)
+    nx = region.x0 + h2 if region.side == "right" else region.x0 - h2
+    return (nx, ny)
+
+
+def _ref_in_region(region, point, slack=0.0):
+    dx = float(point[0]) - region.x0
+    dy = float(point[1]) - float(region.center_y)
+    return math.hypot(dx, dy) <= float(region.r_outer) + slack
+
+
+def _ref_in_carved_region(stack, i, point, slack=0.0):
+    if not _ref_in_region(stack[i], point, slack):
+        return False
+    return not any(_ref_in_region(r, point, -slack) for r in stack[i + 1 :])
 
 
 def _ref_image(stack, p, n):
     q = (float(p[0]), float(p[1]))
     for region in stack[:n]:
-        q = stage_map(region, q)
+        q = _ref_stage_map(region, q)
     return q
 
 
@@ -268,10 +306,11 @@ def ref_support(stack, scene, tol=1e-6):
     for p in pts:
         cur, moved = p, []
         for i, region in enumerate(stack):
-            q = stage_map(region, cur)
+            q = _ref_stage_map(region, cur)
             if math.hypot(q[0] - cur[0], q[1] - cur[1]) > 1e-12:
                 moved.append(i)
-                if not (in_carved_region(stack, i, cur, tol) and in_carved_region(stack, i, q, tol)):
+                if not (_ref_in_carved_region(stack, i, cur, tol)
+                        and _ref_in_carved_region(stack, i, q, tol)):
                     bad_support.append((p, stack[i].level))
             cur = q
         if len(moved) > 1:
@@ -286,7 +325,7 @@ def ref_displacement(stack, scene, tol=1e-9):
     for p in pts:
         cur = p
         for region in stack:
-            q = stage_map(region, cur)
+            q = _ref_stage_map(region, cur)
             d = math.hypot(q[0] - cur[0], q[1] - cur[1])
             if d > 0:
                 lim = float(region.region_diam)
@@ -311,6 +350,44 @@ def ref_cauchy(stack, scene, tol=1e-9):
     return {"ok": not bad, "samples": len(pts), "failures": bad}
 
 
+def ref_collapse(stack, scene, tol=1e-6):
+    per_level = {}
+    for j in scene.joins:
+        per_level.setdefault(j.level, []).append(j)
+    bad, apexes = [], []
+    for region in stack:
+        sgn = 1 if region.side == "right" else -1
+        for j in per_level[region.level]:
+            r, cy = float(j.radius), float(region.center_y)
+            apex = (region.x0 + sgn * r, cy)
+            apexes.append((region.level, apex))
+            for u in (-0.5, -0.3, 0.0, 0.3, 0.5):
+                t = u * math.pi
+                q = _ref_image(stack, (region.x0 + sgn * r * math.cos(t), cy + r * math.sin(t)),
+                               len(stack))
+                if math.hypot(q[0] - apex[0], q[1] - apex[1]) > tol:
+                    bad.append((j.level, u, q, apex))
+    sep_ok = True
+    for lvl in per_level:
+        pts = [a for l, a in apexes if l == lvl]
+        for i in range(len(pts)):
+            for k in range(i + 1, len(pts)):
+                if math.hypot(pts[i][0] - pts[k][0], pts[i][1] - pts[k][1]) <= tol:
+                    sep_ok = False
+    return {"ok": not bad and sep_ok, "failures": bad, "apexes_distinct": sep_ok}
+
+
+def ref_ceiling(stack, scene, tol=1e-6):
+    pts = [p for p in scene_samples(scene) if p[1] <= 1 + 1e-12]
+    worst, bad = 0.0, []
+    for p in pts:
+        q = _ref_image(stack, p, len(stack))
+        worst = max(worst, q[1])
+        if q[1] > 1 + tol:
+            bad.append((p, q))
+    return {"ok": not bad, "samples": len(pts), "max_height": worst, "failures": bad}
+
+
 @pytest.mark.parametrize("make", [
     reference_scene,
     lambda: build_scene(GOLD, "(101).", depth=5),
@@ -320,7 +397,8 @@ def test_certificates_agree_with_reference(make):
     sc = make()
     built = build_glue_stack(sc)
     pairs = [(support_certificate, ref_support), (displacement_certificate, ref_displacement),
-             (cauchy_certificate, ref_cauchy)]
+             (cauchy_certificate, ref_cauchy), (collapse_certificate, ref_collapse),
+             (ceiling_certificate, ref_ceiling)]
     for stack in (built, built[::-1], built + built):
         for p in scene_samples(sc):
             assert apply_gluing(stack, p) == _ref_image(stack, p, len(stack))
@@ -332,6 +410,61 @@ def test_certificates_agree_with_reference(make):
             full = fn(stack, sc, tol=-1.0)
             assert full == ref(stack, sc, tol=-1.0), fn.__name__
             assert not full["ok"]
+
+
+def _edge_radii(region):
+    """Distances from the chart center that sit on each float radius and
+    one ulp either side, inside and outside its tube, midway between
+    neighbouring radii, inside the smallest, beyond the largest, and on
+    the collar's rim and one ulp either side."""
+    ch = region.chart
+    rs = ch.radii
+    out = [0.0, rs[0] / 2, rs[-1] * 2, rs[-1] + region.eps / 2]
+    for r in rs + (ch.r_outer,):
+        out += [r, math.nextafter(r, 0.0), math.nextafter(r, 2.0),
+                r - region.eps / 2, r + region.eps / 3, r + 2 * region.eps]
+    return out + [(a + b) / 2 for a, b in zip(rs, rs[1:])]
+
+
+@pytest.mark.parametrize("make, most_radii", [
+    (reference_scene, 5),
+    (lambda: build_scene(GOLD, "(101).", depth=8), 21),
+    (lambda: build_scene(kneading_from_slope(2.0), "(1).", depth=4), 8),
+], ids=["figure-tails", "golden-depth-8", "slope-2-depth-4"])
+def test_chart_maps_agree_with_reference(make, most_radii):
+    sc = make()
+    built = build_glue_stack(sc)
+    assert max(len(r.radii) for r in built) == most_radii
+    # copies centred at the origin, where a point on an axis lies at
+    # exactly the float distance it was placed at
+    origin = [replace(r, x0=0.0, center_y=Fraction(0)) for r in built]
+    samples = scene_samples(sc)
+    edges = {}
+    for r in built + origin:
+        cy = r.chart.center_y
+        # several angles, on the chart's side and the other
+        edges[id(r)] = [
+            (r.x0 + sgn * rho * math.cos(u * math.pi), cy + rho * math.sin(u * math.pi))
+            for rho in _edge_radii(r) for u in (0.0, 0.25, -0.4, 0.5) for sgn in (1, -1)]
+    for r in origin:
+        sgn = 1 if r.side == "right" else -1
+        for rho in r.chart.radii:
+            # on a bulge's top the whole pull lands on its apex
+            assert stage_map(r, (0.0, rho)) == (sgn * rho, 0.0)
+            assert stage_map(r, (sgn * rho, 0.0)) == (sgn * rho, 0.0)
+        assert in_region(r, (r.chart.r_outer, 0.0))
+        assert not in_region(r, (math.nextafter(r.chart.r_outer, 2.0), 0.0))
+        for rho in _edge_radii(r):
+            edges[id(r)] += [(0.0, rho), (sgn * rho, 0.0), (-sgn * rho, 0.0), (0.0, -rho)]
+    for r in built + origin:
+        for p in samples + edges[id(r)]:
+            assert stage_map(r, p) == _ref_stage_map(r, p)
+            for slack in (0.0, 1e-6):
+                assert in_region(r, p, slack) == _ref_in_region(r, p, slack)
+    for stack in (built, built[::-1], built + built, origin):
+        for i, r in enumerate(stack):
+            for p in samples + edges[id(r)]:
+                assert in_carved_region(stack, i, p, 1e-6) == _ref_in_carved_region(stack, i, p, 1e-6)
 
 
 # ------------------------------------------------------------------- probe

@@ -117,6 +117,11 @@ def test_cli_verify_untouched_scene_file(tmp_path):
         rebuilt = run("verify", *argv)
         assert run("verify", "--scene", str(path)) == rebuilt
         assert rebuilt[0] == 0
+        # the other --scene commands pass the stored-geometry check too
+        for cmd in ("render", "glue", "probe"):
+            assert run(cmd, "--scene", str(path)) == run(cmd, *argv), cmd
+        assert run("render", "--scene", str(path))[0] == 0
+        assert run("glue", "--scene", str(path))[0] == 0
 
 
 def test_cli_verify_tampered_scene_file(tmp_path):
@@ -150,6 +155,25 @@ def test_cli_verify_tampered_scene_file(tmp_path):
     assert run("verify", "--scene", str(path))[0] == 2
 
 
+def test_cli_scene_commands_refuse_tampered_file(tmp_path):
+    argv = ["--nu", "(101)", "--L", "(1).", "--depth", "5"]
+    path = _written_scene(tmp_path, *argv)
+    data = json.loads(path.read_text())
+    n_rows = len(data["segments"]) + len(data["joins"])
+    for row in data["segments"]:
+        row["y"], row["x_lo"] = "0(1)", 0.9
+    data["joins"] = []
+    path.write_text(json.dumps(data))
+    svg = tmp_path / "pic.svg"
+    for extra in (["render", "--out", str(svg)], ["glue"], ["probe"]):
+        code, out = run(extra[0], "--scene", str(path), *extra[1:])
+        lines = out.splitlines()
+        # the violations and their count, and nothing certified or drawn
+        assert code == 1 and lines[-1] == f"{n_rows} violation(s)", extra
+        assert {json.loads(line)["kind"] for line in lines[:-1]} == {"stored-geometry"}
+    assert not svg.exists()
+
+
 def test_cli_render(tmp_path):
     code, out = run("render", "--nu", "(101)", "--L", "(101).", "--depth", "3")
     assert code == 0 and out.startswith("<svg")
@@ -170,6 +194,9 @@ def test_cli_glue_and_probe():
                     "--depth", "6", "--glue", "6")
     assert code == 0
     assert out.splitlines() == ["target: 111111", "accessible: True"]
+    # no stages at all is a valid (trivially certified) stack
+    code, out = run("glue", "--nu", "(101)", "--L", "(101).", "--depth", "6", "--glue", "0")
+    assert code == 0 and out.count(": ok") == 5
 
     code, out = run("probe", "--nu", "(101)", "--L", "(1).",
                     "--tails", "(011)010.", "(011)110.",
@@ -241,6 +268,14 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
         assert main(["verify", f"--{kind}", str(path)]) == 2, name
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+    # a negative stage count, as a flag and from a config
+    neg = tmp_path / "neg.cfg"
+    neg.write_text("nu=(101)\nL=(101).\ndepth=4\nglue_stages=-1\n")
+    for argv in (["glue", "--nu", "(101)", "--L", "(101).", "--depth", "4", "--glue", "-1"],
+                 ["glue", "--config", str(neg)], ["probe", "--config", str(neg)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     # unreadable paths: a directory, bytes that are not UTF-8, an output
     # path that is a directory
     latin = tmp_path / "latin.json"
