@@ -23,11 +23,12 @@ rational out) so identities can be asserted without tolerance.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate, count
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain, count
 from typing import NamedTuple, Optional
 
 from .errors import ChartOverflow, TentplaneError, WrongContext
@@ -37,6 +38,9 @@ from .sequences import parse_left
 # tube half-width as a fraction of the safe margin; wide enough that float
 # noise on points sitting exactly on a bulge stays far below the tube scale
 _EPS_SCALE = 1e-4
+
+# a stage moves a point when it carries it farther than this
+_MOVE_TOL = 1e-12
 
 
 def collapse_profile(a, y):
@@ -234,7 +238,7 @@ def apply_gluing(stack, point, upto: Optional[int] = None) -> tuple:
     return stage_path(stack[:upto], point)[-1]
 
 
-def moved_stages(stack, point, tol: float = 1e-12) -> list:
+def moved_stages(stack, point, tol: float = _MOVE_TOL) -> list:
     """Indices (1-based prefix positions) of stages that move the point."""
     return [i for i, d in enumerate(_hops(stage_path(stack, point)), 1) if d > tol]
 
@@ -273,15 +277,43 @@ def scene_samples(scene: Scene, per_seg: int = 5, arc_angles=(-0.5, -0.25, 0.0, 
     return pts
 
 
+class _SamplePass(NamedTuple):
+    points: tuple  # scene_samples
+    paths: tuple  # stage_path of each point
+    hops: tuple  # _hops of each path
+
+
+def _sample_pass(stack, scene: Scene) -> _SamplePass:
+    """The scene's samples, each with one stage path, shared by the
+    sampled certificates.  Keyed by value, bit for bit: the regions, the
+    floats their stage maps read and the sample coordinates (-0.0 == 0.0
+    in Python, yet a stage map can tell them apart).  A scene mutated in
+    place or a replaced region therefore misses."""
+    regions = tuple(stack)
+    floats = array(
+        "d", chain.from_iterable((r.x0, r.eps, r.chart.center_y, *r.chart.radii) for r in regions)
+    )
+    coords = array("d", chain.from_iterable(scene_samples(scene)))
+    return _sample_pass_by_value(regions, floats.tobytes(), coords.tobytes())
+
+
+@lru_cache(maxsize=1)
+def _sample_pass_by_value(regions: tuple, floats: bytes, coords: bytes) -> _SamplePass:
+    # ``floats`` only keys the memo; the stage maps read the regions
+    flat = array("d", coords)
+    points = tuple(zip(flat[::2], flat[1::2]))
+    paths = tuple(stage_path(regions, p) for p in points)
+    return _SamplePass(points, paths, tuple(_hops(path) for path in paths))
+
+
 def support_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
     """Sampled support discipline: any stage that moves a sample moves it
     within that stage's carved region, and no sample moves twice."""
-    pts = scene_samples(scene)
+    sp = _sample_pass(stack, scene)
     bad_support = []
     bad_repeat = []
-    for p in pts:
-        path = stage_path(stack, p)
-        moved = [i for i, d in enumerate(_hops(path)) if d > 1e-12]
+    for p, path, hops in zip(sp.points, sp.paths, sp.hops):
+        moved = [i for i, d in enumerate(hops) if d > _MOVE_TOL]
         for i in moved:
             if not (
                 in_carved_region(stack, i, path[i], tol)
@@ -292,7 +324,7 @@ def support_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
             bad_repeat.append((p, [stack[i].level for i in moved]))
     return {
         "ok": not bad_support and not bad_repeat,
-        "samples": len(pts),
+        "samples": len(sp.points),
         "support_failures": bad_support,
         "repeat_movers": bad_repeat,
     }
@@ -301,36 +333,35 @@ def support_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
 def displacement_certificate(stack, scene: Scene, tol: float = 1e-9) -> dict:
     """Per-stage displacement of every sample stays within the moving
     stage's region diameter."""
-    pts = scene_samples(scene)
+    sp = _sample_pass(stack, scene)
     worst = 0.0
     bad = []
-    for p in pts:
-        for region, d in zip(stack, _hops(stage_path(stack, p))):
+    for p, hops in zip(sp.points, sp.hops):
+        for region, d in zip(stack, hops):
             if d > 0:
                 lim = region.chart.region_diam
                 worst = max(worst, d / lim)
                 if d > lim + tol:
                     bad.append((p, region.level, d, lim))
-    return {"ok": not bad, "samples": len(pts), "worst_ratio": worst, "failures": bad}
+    return {"ok": not bad, "samples": len(sp.points), "worst_ratio": worst, "failures": bad}
 
 
 def cauchy_certificate(stack, scene: Scene, tol: float = 1e-9) -> dict:
     """Tail estimate: between any two prefix depths the image moves at
     most by the largest region diameter in the window."""
-    pts = scene_samples(scene)
+    sp = _sample_pass(stack, scene)
     diams = [r.chart.region_diam for r in stack]
     # lims[n][m - n - 1]: the largest diameter of stages n+1..m
     lims = [list(accumulate(diams[n:], max, initial=0.0))[1:] for n in range(len(stack))]
     bad = []
-    for p in pts:
-        images = stage_path(stack, p)
+    for p, images in zip(sp.points, sp.paths):
         for n, row in enumerate(lims):
             xn, yn = images[n]
             for m, (xm, ym), lim in zip(count(n + 1), images[n + 1 :], row):
                 gap = math.hypot(xm - xn, ym - yn)
                 if gap > lim + tol:
                     bad.append((p, n, m, gap, lim))
-    return {"ok": not bad, "samples": len(pts), "failures": bad}
+    return {"ok": not bad, "samples": len(sp.points), "failures": bad}
 
 
 def collapse_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
@@ -365,15 +396,15 @@ def collapse_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
 
 def ceiling_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
     """Nothing drawn at or below height 1 ends up above it."""
-    pts = [p for p in scene_samples(scene) if p[1] <= 1 + 1e-12]
+    sp = _sample_pass(stack, scene)
+    ends = [(p, path[-1]) for p, path in zip(sp.points, sp.paths) if p[1] <= 1 + 1e-12]
     worst = 0.0
     bad = []
-    for p in pts:
-        q = apply_gluing(stack, p)
+    for p, q in ends:
         worst = max(worst, q[1])
         if q[1] > 1 + tol:
             bad.append((p, q))
-    return {"ok": not bad, "samples": len(pts), "max_height": worst, "failures": bad}
+    return {"ok": not bad, "samples": len(ends), "max_height": worst, "failures": bad}
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .arcs import (
@@ -82,11 +83,12 @@ class SceneJoin:
     def y_hi(self) -> Fraction:
         return self.high.y.value
 
-    @property
+    # computed once per join; a replaced copy computes its own
+    @cached_property
     def center(self) -> Fraction:
         return (self.y_lo + self.y_hi) / 2
 
-    @property
+    @cached_property
     def radius(self) -> Fraction:
         return (self.y_hi - self.y_lo) / 2
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import figure_nu, figure_tails
 
+from tentplane import glue
 from tentplane import (
     ChartOverflow,
     TentplaneError,
@@ -410,6 +411,65 @@ def test_certificates_agree_with_reference(make):
             full = fn(stack, sc, tol=-1.0)
             assert full == ref(stack, sc, tol=-1.0), fn.__name__
             assert not full["ok"]
+
+
+def test_certificates_share_one_sample_pass(monkeypatch):
+    sc = build_scene(GOLD, "(101).", depth=5)
+    stack = build_glue_stack(sc)
+    calls = []
+    real = glue.stage_path
+
+    def counted(stack, point):
+        calls.append(point)
+        return real(stack, point)
+
+    monkeypatch.setattr(glue, "stage_path", counted)
+    # the memo holds one pass: certify a trimmed stack first, so the run
+    # below starts without one for (stack, sc)
+    support_certificate(stack[:-1], sc)
+    samples, joins = len(scene_samples(sc)), len(sc.joins)
+    # one path per sample, shared by four certificates; collapse follows
+    # five points per join
+    for expected in (samples + 5 * joins, 5 * joins):
+        calls.clear()
+        for fn in CERTS:
+            assert fn(stack, sc)["ok"], fn.__name__
+        assert len(calls) == expected
+
+
+def test_sample_pass_memo_is_keyed_by_value():
+    sc = build_scene(GOLD, "(101).", depth=5)
+    built = build_glue_stack(sc)
+    wider = built[:]
+    wider[2] = replace(built[2], eps=2 * built[2].eps)
+    k = 0
+    seg = sc.segments[k]
+    moved = replace(seg, x_hi=(seg.x_lo + seg.x_hi) / 2)
+    pairs = [(support_certificate, ref_support), (displacement_certificate, ref_displacement),
+             (cauchy_certificate, ref_cauchy), (collapse_certificate, ref_collapse),
+             (ceiling_certificate, ref_ceiling)]
+    # each call differs from the one before it in the stack or in the
+    # scene's segment k, swapped in place; a stale pass would show as a
+    # full failure list equal to the previous input's
+    inputs = [(built, seg), (built, moved), (wider, moved), (wider, seg), (built, seg)]
+    for fn, ref in pairs:
+        seen = []
+        for stack, s in inputs:
+            sc.segments[k] = s
+            for tol in ({}, {"tol": -1.0}):
+                rep = fn(stack, sc, **tol)
+                assert rep == ref(stack, sc, **tol), fn.__name__
+            seen.append(rep)
+        if fn is not collapse_certificate:
+            assert seen[0] != seen[1] and seen[2] != seen[3], fn.__name__
+        if fn is displacement_certificate or fn is cauchy_certificate:
+            assert seen[1] != seen[2] and seen[3] != seen[4], fn.__name__
+    # -0.0 == 0.0, but the memo tells them apart
+    origin = [replace(r, x0=0.0) for r in built]
+    signed = [replace(r, x0=-0.0) for r in built]
+    assert origin == signed
+    assert glue._sample_pass(origin, sc) is not glue._sample_pass(signed, sc)
+    assert glue._sample_pass(origin, sc) is glue._sample_pass(origin[:], sc)
 
 
 def _edge_radii(region):

@@ -89,6 +89,11 @@ def test_join_geometry_accessors():
     assert j.y_lo < j.y_hi
     assert j.center == (j.y_lo + j.y_hi) / 2
     assert j.radius == (j.y_hi - j.y_lo) / 2
+    # a replaced copy computes its own, not the original's
+    other = next(s for s in sc.segments if s.y.value not in (j.y_lo, j.y_hi))
+    k = dataclasses.replace(j, high=other)
+    assert k.center == (j.y_lo + other.y.value) / 2 != j.center
+    assert k.radius == (other.y.value - j.y_lo) / 2 != j.radius
 
 
 def test_cylinder_scene_frozen():
