@@ -18,15 +18,20 @@ progressions, which is detected exactly.
 
 Joined pairs: two tails that differ in exactly one slot -m and whose
 shared last m-1 symbols equal the head of nu bound a gap at level m; the
-bulge side is right when that shared word has an even ones-count.
+bulge side is right when that shared word has an even ones-count.  They
+are found by flip and lookup: for each item, every k in ``head_matches``
+of a window reaching the partner's slot names a candidate level k+1, and
+flipping slot -(k+1) from 0 to 1 gives the only possible partner, kept
+when it is in the pool.  Tails and cylinder words share that finder; each
+caller passes its own window and flip.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional
 
 from .errors import AmbiguousAtDepth, MalformedSequence
 from .kneading import C, KneadingSequence, head_matches, tent
@@ -37,9 +42,7 @@ from .sequences import (
     compare_right,
     parity,
     plex_compare,
-    tails_equal_horizon,
 )
-from .cantor import compare_tails
 
 TAU_INF = math.inf
 
@@ -231,50 +234,46 @@ class Join:
     high: LeftTail
 
 
-def boundary_pairs(
-    tails,
-    nu: KneadingSequence,
-    level: Optional[int] = None,
-    context: Optional[LeftTail] = None,
-    check_tau: bool = False,
-) -> list:
-    """Joined pairs among the given tails.
+def _flip_joins(items, nu: KneadingSequence, window, flip) -> list:
+    """Joins among the items, each with its slot-0 side as ``low``.
+
+    ``window(a)`` is the word whose suffix matches are tried and must
+    reach every partner's slot; ``flip(a, m)`` is ``a`` with slot -m
+    raised from 0 to 1.  A partner listed n times gives n joins.
+    """
+    pool = Counter(items)
+    out = []
+    for a in items:
+        w = window(a)
+        for k in head_matches(w, nu):
+            i = len(w) - 1 - k  # slot -(k+1), just before the matched suffix
+            if i < 0 or w[i] == "1":
+                continue  # handle each unordered pair once, from its 0 side
+            b = flip(a, k + 1)
+            out += [Join(k + 1, side_of_level(nu, k + 1), a, b)] * pool[b]
+    return out
+
+
+def boundary_pairs(tails, nu: KneadingSequence, check_tau: bool = False) -> list:
+    """Joined pairs among the given tails, each ordered by notation.
 
     A pair joins at level m when the tails differ in slot -m alone and
-    their shared last m-1 symbols equal the head of nu.  With a context
-    the pair is ordered by height, otherwise by notation.  check_tau
+    their shared last m-1 symbols equal the head of nu.  check_tau
     additionally demands that m is the landing index on the join's side
     for both tails.
     """
     ts = list(tails)
+    # a partner at slot -m beyond a tail's transient has a transient of
+    # exactly m symbols, so the longest transient reaches every partner
+    reach = max((len(t.transient) for t in ts), default=0)
     out = []
-    for ai in range(len(ts)):
-        for bi in range(ai + 1, len(ts)):
-            a, b = ts[ai], ts[bi]
-            h = tails_equal_horizon(a, b)
-            wa, wb = a.window(h), b.window(h)
-            diffs = [k for k in range(1, h + 1) if wa[h - k] != wb[h - k]]
-            if len(diffs) != 1:
+    for j in _flip_joins(ts, nu, lambda t: t.window(reach), flip_at):
+        if check_tau:
+            k = 1 if j.side == "right" else 0
+            if _landing(j.low, nu)[k] != j.level or _landing(j.high, nu)[k] != j.level:
                 continue
-            m = diffs[0]
-            if flip_at(a, m) != b:
-                continue
-            if m - 1 not in head_matches(a.window(m - 1), nu):
-                continue  # shared word off the head, or beyond what nu certifies
-            if level is not None and m != level:
-                continue
-            side = side_of_level(nu, m)
-            if check_tau:
-                k = 1 if side == "right" else 0
-                if _landing(a, nu)[k] != m or _landing(b, nu)[k] != m:
-                    continue
-            lo, hi = a, b
-            if context is not None:
-                if compare_tails(b, a, context).order is Order.LESS:
-                    lo, hi = b, a
-            elif str(b) < str(a):
-                lo, hi = b, a
-            out.append(Join(m, side, lo, hi))
+        if str(j.high) < str(j.low):
+            j = Join(j.level, j.side, j.high, j.low)
+        out.append(j)
     out.sort(key=lambda j: (j.level, str(j.low)))
     return out
-

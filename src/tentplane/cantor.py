@@ -19,7 +19,7 @@ from functools import cached_property
 from math import lcm
 
 from .errors import MalformedSequence
-from .sequences import Comparison, LeftTail, Order, canon_right_words, parity
+from .sequences import Comparison, LeftTail, Order, canon_right_words, parity, tails_equal_horizon
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def compare_tails(a: LeftTail, b: LeftTail, context: LeftTail) -> Comparison:
     Always decided: agreement over one transient plus a full joint period
     means equal words.
     """
-    h = max(len(a.transient), len(b.transient)) + lcm(len(a.period), len(b.period))
+    h = tails_equal_horizon(a, b)
     wa, wb = a.window(h), b.window(h)
     if wa == wb:
         return Comparison(Order.EQUAL, True)

@@ -42,6 +42,14 @@ _EPS_SCALE = 1e-4
 # a stage moves a point when it carries it farther than this
 _MOVE_TOL = 1e-12
 
+# scene_samples: points per segment, and bulge angles as fractions of pi
+_SEGMENT_SAMPLES = 5
+_ARC_ANGLES = (-0.5, -0.25, 0.0, 0.25, 0.5)
+
+# accessibility_probe: glue samples along the probe, and its float slack
+_PROBE_STEPS = 64
+_PROBE_TOL = 1e-9
+
 
 def collapse_profile(a, y):
     """Three-piece squeeze of the fiber [-1, 1].
@@ -233,14 +241,14 @@ def _hops(path) -> list:
     return [math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in zip(path, path[1:])]
 
 
-def apply_gluing(stack, point, upto: Optional[int] = None) -> tuple:
-    """Compose the stages, shallowest first, through ``upto`` of them."""
-    return stage_path(stack[:upto], point)[-1]
+def apply_gluing(stack, point) -> tuple:
+    """Compose the stages, shallowest first."""
+    return stage_path(stack, point)[-1]
 
 
-def moved_stages(stack, point, tol: float = _MOVE_TOL) -> list:
+def moved_stages(stack, point) -> list:
     """Indices (1-based prefix positions) of stages that move the point."""
-    return [i for i, d in enumerate(_hops(stage_path(stack, point)), 1) if d > tol]
+    return [i for i, d in enumerate(_hops(stage_path(stack, point)), 1) if d > _MOVE_TOL]
 
 
 def in_region(region: GlueRegion, point, slack: float = 0.0) -> bool:
@@ -258,20 +266,20 @@ def in_carved_region(stack, i: int, point, slack: float = 0.0) -> bool:
     return not any(in_region(r, point, -slack) for r in stack[i + 1 :])
 
 
-def scene_samples(scene: Scene, per_seg: int = 5, arc_angles=(-0.5, -0.25, 0.0, 0.25, 0.5)):
+def scene_samples(scene: Scene):
     """Deterministic probe points on the drawn geometry."""
     pts = []
     for s in scene.segments:
         y = float(s.y.value)
         lo, hi = float(s.x_lo), float(s.x_hi)
-        for k in range(per_seg):
-            f = k / (per_seg - 1) if per_seg > 1 else 0.5
+        for k in range(_SEGMENT_SAMPLES):
+            f = k / (_SEGMENT_SAMPLES - 1)
             pts.append((lo + f * (hi - lo), y))
     for j in scene.joins:
         cy, r = float(j.center), float(j.radius)
         x0 = float(j.x0)
         sgn = 1 if j.side == "right" else -1
-        for u in arc_angles:
+        for u in _ARC_ANGLES:
             t = u * math.pi
             pts.append((x0 + sgn * r * math.cos(t), cy + r * math.sin(t)))
     return pts
@@ -424,8 +432,6 @@ def accessibility_probe(
     *,
     x: Optional[float] = None,
     strict: bool = True,
-    steps: int = 64,
-    tol: float = 1e-9,
 ) -> ProbeReport:
     """Drop a vertical probe from above the picture onto an arc.
 
@@ -453,7 +459,7 @@ def accessibility_probe(
 
     if x is None:
         x = (float(target.x_lo) + float(target.x_hi)) / 2
-    elif not float(target.x_lo) - tol <= x <= float(target.x_hi) + tol:
+    elif not float(target.x_lo) - _PROBE_TOL <= x <= float(target.x_hi) + _PROBE_TOL:
         raise WrongContext(f"probe abscissa {x} misses the target arc")
     ty = float(target.y.value)
     top = max(2.0, ty + 1.0)
@@ -463,22 +469,22 @@ def accessibility_probe(
         if s is target:
             continue
         y = float(s.y.value)
-        if ty < y <= top and float(s.x_lo) - tol <= x <= float(s.x_hi) + tol:
+        if ty < y <= top and float(s.x_lo) - _PROBE_TOL <= x <= float(s.x_hi) + _PROBE_TOL:
             witness = {"kind": "segment", "label": s.label, "y": y}
             break
     if witness is None:
         for j in scene.joins:
             dx = x - float(j.x0)
-            if j.side == "right" and dx < -tol:
+            if j.side == "right" and dx < -_PROBE_TOL:
                 continue
-            if j.side == "left" and dx > tol:
+            if j.side == "left" and dx > _PROBE_TOL:
                 continue
             r = float(j.radius)
             if abs(dx) > r:
                 continue
             arm = math.sqrt(max(r * r - dx * dx, 0.0))
             for y in (float(j.center) + arm, float(j.center) - arm):
-                if ty + tol < y <= top:
+                if ty + _PROBE_TOL < y <= top:
                     witness = {
                         "kind": "join",
                         "join": (j.level, j.low.label, j.high.label),
@@ -491,8 +497,8 @@ def accessibility_probe(
     moved_hits = 0
     nsamples = 0
     if witness is None:
-        for k in range(1, steps + 1):
-            y = ty + (top - ty) * k / steps
+        for k in range(1, _PROBE_STEPS + 1):
+            y = ty + (top - ty) * k / _PROBE_STEPS
             nsamples += 1
             if moved_stages(stack, (x, y)):
                 moved_hits += 1

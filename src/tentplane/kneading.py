@@ -21,6 +21,7 @@ matches (``head_matches``) and one-slot joins all read that state.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -40,6 +41,9 @@ from .sequences import (
 )
 
 C = Fraction(1, 2)
+
+# kneading_from_slope: orbit points this close are one point
+_ORBIT_EPS = 1e-12
 
 Number = Union[int, float, Fraction]
 
@@ -113,7 +117,7 @@ class KneadingSequence:
             raise MalformedSequence("kneading sequence must be star-free; use modify_star")
         d = self.validated_depth
         if d != math.inf:
-            if d != int(d) or d < 1:
+            if d != int(d) or not 1 <= d <= sys.maxsize:
                 raise MalformedSequence(f"bad validated depth {d!r}")
         if self.seq.at(0) != "1":
             raise NotAdmissible(f"kneading sequence must start with 1: {self.seq}")
@@ -147,9 +151,7 @@ def kneading_from_text(text: str) -> KneadingSequence:
 
 
 @lru_cache(maxsize=256)
-def kneading_from_slope(
-    s: Number, *, max_iter: int = 4096, eps: float = 1e-12
-) -> KneadingSequence:
+def kneading_from_slope(s: Number, *, max_iter: int = 4096) -> KneadingSequence:
     """Kneading sequence of the slope-s tent map.
 
     Detects, in order: a return of the orbit to the turning point
@@ -162,17 +164,20 @@ def kneading_from_slope(
     if not 1 < s <= 2:
         raise MalformedSequence(f"slope must be in (1, 2], got {s!r}")
     xs = [tent(s, C)]
+    eps = _ORBIT_EPS
     # earliest orbit index per eps-sized bucket, for O(1) revisit checks
     buckets = {round(float(xs[0]) / eps): 0}
     word = []
     while len(word) < max_iter:
         x = xs[-1]
-        if abs(x - C) <= eps:
+        # doubled, the tests against c = 1/2 stay exact and Fraction-free
+        twice = 2 * x
+        if abs(twice - 1) <= 2 * eps:
             # turning point periodic with period len(word) + 1
             star = "".join(word) + "*"
             nu = modify_star(RightSeq("", star))
             return KneadingSequence(nu, slope=float(s))
-        word.append("0" if x < C else "1")
+        word.append("0" if twice < 1 else "1")
         nxt = tent(s, x)
         b = round(float(nxt) / eps)
         for bb in (b - 1, b, b + 1):
@@ -264,20 +269,17 @@ def is_admissible_tail(tail: LeftTail, nu: KneadingSequence, depth: Optional[int
 
 def enumerate_cylinders(nu: KneadingSequence, depth: int) -> list:
     """All admissible {0,1} words of the given length, in signed-lex order."""
-    if depth < 1:
-        raise MalformedSequence("depth must be positive")
+    if not 1 <= depth <= sys.maxsize:
+        raise MalformedSequence(f"depth must lie in 1..{sys.maxsize}, got {depth}")
     scan = HeadScan(nu, depth)
-    out = []
-
-    def grow(w: str, state):
-        if state[2]:
-            return
-        if len(w) == depth:
-            out.append(w)
-            return
-        grow(w + "0", scan.push(state, "0"))
-        grow(w + "1", scan.push(state, "1"))
-
-    grow("", scan.start)
-    out.sort(key=plex_key)
-    return out
+    # grown level by level, so the depth is not bounded by the call stack
+    level = [("", scan.start)]
+    for _ in range(depth):
+        level = [
+            (w + s, state)
+            for w, prev in level
+            for s in "01"
+            for state in (scan.push(prev, s),)
+            if not state[2]
+        ]
+    return sorted((w for w, _ in level), key=plex_key)

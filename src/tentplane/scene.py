@@ -16,7 +16,7 @@ interleave.  In rank mode every coordinate is rational, and both it and
 ``betweenness_check`` run exactly on one integer grid per scene, built
 inside each call: heights scaled by the lcm of their denominators,
 abscissae by the lcm of theirs.  In value mode they are float
-comparisons with a tolerance.
+comparisons with the tolerance ``_VALUE_TOL``.
 
 ``stored_geometry_check`` compares the rows of a scene file with the
 scene rebuilt from it.
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,23 +33,20 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .arcs import (
-    Join,
     Projection,
+    _flip_joins,
     arc_projection,
     boundary_pairs,
     resolve_x,
-    side_of_level,
     window_projection,
 )
 from .cantor import CantorCoordinate, block_midpoint, cantor_coordinate
 from .errors import MalformedSequence, NotAdmissible, ParseError
-from .kneading import (
-    KneadingSequence,
-    enumerate_cylinders,
-    head_matches,
-    is_admissible_tail,
-)
+from .kneading import KneadingSequence, enumerate_cylinders, is_admissible_tail
 from .sequences import LeftTail, parse_left, parse_right
+
+# value-mode slack of both checkers; rank mode is exact
+_VALUE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -144,7 +142,7 @@ def build_scene(
 
     # join structure before x so the anchors take part in the x layout
     if mode == "tails":
-        raw = boundary_pairs([e[1] for e in entries], nu, context=context)
+        raw = boundary_pairs([e[1] for e in entries], nu)
     else:
         raw = _cylinder_pairs([e[2] for e in entries], nu)
 
@@ -178,19 +176,13 @@ def build_scene(
 
 
 def _cylinder_pairs(words, nu: KneadingSequence) -> list:
-    """Joined pairs among equal-length windows: flip one slot, the part
-    after it must read as the head of nu."""
-    pool = set(words)
-    out = []
-    for w in words:
-        for k in head_matches(w, nu):
-            i = len(w) - 1 - k  # slot -(k+1), just before the matched suffix
-            if i < 0 or w[i] == "1":
-                continue  # handle each unordered pair once, from its 0 side
-            other = w[:i] + "1" + w[i + 1 :]
-            if other in pool:
-                out.append(Join(k + 1, side_of_level(nu, k + 1), w, other))
-    return out
+    """Joined pairs among equal-length windows; a word is its own window."""
+
+    def raise_slot(w: str, m: int) -> str:
+        i = len(w) - m
+        return w[:i] + "1" + w[i + 1 :]
+
+    return _flip_joins(words, nu, lambda w: w, raise_slot)
 
 
 # ---------------------------------------------------------------- geometry
@@ -234,11 +226,11 @@ def _grid(scene: Scene) -> _Grid:
     )
 
 
-def _crosses_float(side: str, x0, rr, x_lo, x_hi, tol: float) -> bool:
+def _crosses_float(side: str, x0, rr, x_lo, x_hi) -> bool:
     arm = math.sqrt(rr)
     xc = x0 + arm if side == "right" else x0 - arm
     pen = min(x_hi - xc, xc - x_lo)
-    return pen > tol
+    return pen > _VALUE_TOL
 
 
 def _join_key(j: SceneJoin) -> tuple:
@@ -253,12 +245,12 @@ def _join_join(a: SceneJoin, b: SceneJoin) -> dict:
     return {"kind": "join-join", "join_a": _join_key(a), "join_b": _join_key(b)}
 
 
-def verify_noncrossing(scene: Scene, tol: float = 1e-9) -> list:
+def verify_noncrossing(scene: Scene) -> list:
     """All planarity violations; empty means the drawing is clean.
 
     Checks bulge against segment and bulge against same-abscissa,
     same-side bulge.  Exact integer arithmetic in rank mode, tolerance
-    ``tol`` in value mode.
+    ``_VALUE_TOL`` in value mode.
     """
     if scene.x_mode == "rank":
         return _noncrossing_exact(scene)
@@ -273,13 +265,13 @@ def verify_noncrossing(scene: Scene, tol: float = 1e-9) -> list:
             s = by_y[k]
             dy = ys[k] - yc
             rr = r * r - dy * dy
-            if _crosses_float(j.side, float(j.x0), float(rr), float(s.x_lo), float(s.x_hi), tol):
+            if _crosses_float(j.side, float(j.x0), float(rr), float(s.x_lo), float(s.x_hi)):
                 out.append(_segment_join(s, j))
     js = scene.joins
     for a in range(len(js)):
         for b in range(a + 1, len(js)):
             ja, jb = js[a], js[b]
-            if ja.side != jb.side or abs(float(ja.x0) - float(jb.x0)) > tol:
+            if ja.side != jb.side or abs(float(ja.x0) - float(jb.x0)) > _VALUE_TOL:
                 continue
             if (ja.y_lo < jb.y_lo < ja.y_hi) != (ja.y_lo < jb.y_hi < ja.y_hi):
                 out.append(_join_join(ja, jb))
@@ -320,7 +312,7 @@ def _noncrossing_exact(scene: Scene) -> list:
     return out
 
 
-def betweenness_check(scene: Scene, tol: float = 1e-9) -> list:
+def betweenness_check(scene: Scene) -> list:
     """Structure of the strict interior of every join's height gap.
 
     Every segment strictly between the joined heights must share the
@@ -337,6 +329,7 @@ def betweenness_check(scene: Scene, tol: float = 1e-9) -> list:
         x_lo = [float(s.x_lo) for s in by_y]
         x_hi = [float(s.x_hi) for s in by_y]
         spans = [(j.y_lo, j.y_hi, float(j.x0)) for j in scene.joins]
+        tol = _VALUE_TOL
     heads: dict = {}
     out = []
     for j, (ylo, yhi, x0) in zip(scene.joins, spans):
@@ -430,6 +423,8 @@ def scene_from_dict(data: dict) -> Scene:
     if not isinstance(data, dict):
         raise ParseError("scene must be a JSON object")
     trusted = _field(data, "validated_depth", int, None)
+    if trusted is not None and trusted > sys.maxsize:
+        raise ParseError(f"scene key 'validated_depth' exceeds {sys.maxsize}")
     slope = _field(data, "slope", (int, float, type(None)), None)
     nu = KneadingSequence(
         parse_right(_field(data, "nu", str)),

@@ -12,20 +12,17 @@ from xml.sax.saxutils import escape
 
 from .scene import Scene
 
+# canvas size and frame inset, in pixels
+_WIDTH = 800
+_HEIGHT = 520
+_MARGIN = 48
+
 
 def _f(v: float) -> str:
     return f"{float(v):.6f}"
 
 
-def render_scene(
-    scene: Scene,
-    *,
-    width: int = 800,
-    height: int = 520,
-    margin: int = 48,
-    portrait: bool = False,
-    labels: bool = True,
-) -> str:
+def render_scene(scene: Scene, *, portrait: bool = False) -> str:
     xs = [0.0, 1.0]
     ys = [0.0, 1.0]
     for s in scene.segments:
@@ -41,25 +38,25 @@ def render_scene(
     ymin, ymax = min(ys), max(ys)
     spanx = (xmax - xmin) or 1.0
     spany = (ymax - ymin) or 1.0
-    sx = (width - 2 * margin) / spanx
-    sy = (height - 2 * margin) / spany
+    sx = (_WIDTH - 2 * _MARGIN) / spanx
+    sy = (_HEIGHT - 2 * _MARGIN) / spany
 
     def X(v: float) -> float:
-        return margin + (v - xmin) * sx
+        return _MARGIN + (v - xmin) * sx
 
     def Y(v: float) -> float:
-        return height - margin - (v - ymin) * sy
+        return _HEIGHT - _MARGIN - (v - ymin) * sy
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     ]
     if portrait:
-        cx, cy = width / 2, height / 2
+        cx, cy = _WIDTH / 2, _HEIGHT / 2
         parts.append(f'<g transform="rotate(90 {_f(cx)} {_f(cy)})">')
     parts.append(
-        f'<rect x="{_f(margin)}" y="{_f(margin)}" width="{_f(width - 2 * margin)}" '
-        f'height="{_f(height - 2 * margin)}" fill="none" stroke="#cccccc" stroke-width="1"/>'
+        f'<rect x="{_f(_MARGIN)}" y="{_f(_MARGIN)}" width="{_f(_WIDTH - 2 * _MARGIN)}" '
+        f'height="{_f(_HEIGHT - 2 * _MARGIN)}" fill="none" stroke="#cccccc" stroke-width="1"/>'
     )
     for s in scene.segments:
         y = Y(float(s.y.value))
@@ -77,13 +74,12 @@ def render_scene(
             f'<path d="M {_f(x)} {_f(y1)} A {_f(rx)} {_f(ry)} 0 0 {sweep} {_f(x)} {_f(y2)}" '
             f'fill="none" stroke="#3355bb" stroke-width="1.2"/>'
         )
-    if labels:
-        for s in scene.segments:
-            y = Y(float(s.y.value))
-            parts.append(
-                f'<text x="{_f(X(float(s.x_hi)) + 5)}" y="{_f(y + 3)}" '
-                f'font-family="monospace" font-size="10">{escape(s.label)}</text>'
-            )
+    for s in scene.segments:
+        y = Y(float(s.y.value))
+        parts.append(
+            f'<text x="{_f(X(float(s.x_hi)) + 5)}" y="{_f(y + 3)}" '
+            f'font-family="monospace" font-size="10">{escape(s.label)}</text>'
+        )
     if portrait:
         parts.append("</g>")
     parts.append("</svg>")

@@ -1,12 +1,13 @@
 """Landing indices, horizontal extents, and joins."""
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import figure_nu, figure_tails, figure_labels
+from conftest import figure_nu, figure_tails, figure_labels, random_kneading, random_tail
 
 from tentplane import (
     AmbiguousAtDepth,
@@ -22,6 +23,7 @@ from tentplane import (
 )
 from tentplane.arcs import (
     TAU_INF,
+    Join,
     _landing,
     flip_at,
     orbit_compare,
@@ -29,7 +31,7 @@ from tentplane.arcs import (
     window_projection,
 )
 from tentplane.kneading import head_matches
-from tentplane.sequences import Order
+from tentplane.sequences import Order, tails_equal_horizon
 
 GOLD = kneading_from_slope((1 + math.sqrt(5)) / 2)
 FULL = kneading_from_slope(2.0)
@@ -185,11 +187,6 @@ def test_boundary_pairs_frozen():
     assert len(js) == 1
     j = js[0]
     assert (j.level, j.side, str(j.low), str(j.high)) == (3, "left", "(011)110.", "(101)0.")
-    assert boundary_pairs([a, b], GOLD, level=2) == []
-    assert boundary_pairs([a, b], GOLD, level=3) == js
-    with_ctx = boundary_pairs([a, b], GOLD, context=parse_left("(1)."))
-    assert [(j.level, j.side, str(j.low), str(j.high)) for j in with_ctx] == [
-        (3, "left", "(011)110.", "(101)0.")]
 
 
 def test_boundary_pairs_tau_filter():
@@ -236,3 +233,68 @@ def test_boundary_pairs_truncated_slot_skipped():
     # cannot be certified, so the pair is silently dropped
     assert boundary_pairs([a, flip_at(a, 12)], fig) == []
 
+
+
+def ref_boundary_pairs(tails, nu, check_tau=False):
+    """The pairwise scan boundary_pairs replaced: every pair of tails,
+    compared window by window over their equality horizon."""
+    ts = list(tails)
+    out = []
+    for ai in range(len(ts)):
+        for bi in range(ai + 1, len(ts)):
+            a, b = ts[ai], ts[bi]
+            h = tails_equal_horizon(a, b)
+            wa, wb = a.window(h), b.window(h)
+            diffs = [k for k in range(1, h + 1) if wa[h - k] != wb[h - k]]
+            if len(diffs) != 1:
+                continue
+            m = diffs[0]
+            if flip_at(a, m) != b:
+                continue
+            if m - 1 not in head_matches(a.window(m - 1), nu):
+                continue
+            side = side_of_level(nu, m)
+            if check_tau:
+                k = 1 if side == "right" else 0
+                if _landing(a, nu)[k] != m or _landing(b, nu)[k] != m:
+                    continue
+            lo, hi = a, b
+            if str(b) < str(a):
+                lo, hi = b, a
+            out.append(Join(m, side, lo, hi))
+    out.sort(key=lambda j: (j.level, str(j.low)))
+    return out
+
+
+def _oracle_pool(rng, nu):
+    """Admissible tails, some flip partners at matched slots (so pairs
+    join), a few arbitrary flips and a few repeats, shuffled."""
+    pool = [random_tail(rng, nu) for _ in range(rng.randint(1, 6))]
+    for t in list(pool):
+        reach = len(t.transient) + rng.randint(0, 4)
+        ks = head_matches(t.window(reach), nu)
+        for k in rng.sample(ks, min(len(ks), rng.randint(0, 2))):
+            pool.append(flip_at(t, k + 1))
+        if rng.random() < 0.3:
+            pool.append(flip_at(t, rng.randint(1, 8)))
+    pool += [rng.choice(pool) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(pool)
+    return pool
+
+
+def test_boundary_pairs_agree_with_reference():
+    rng = random.Random(7)
+    exact = [GOLD, FULL, SQ2] + [KneadingSequence(parse_right(t)) for t in ("(1001)", "100(1)")]
+    nus = exact + [random_kneading(rng, rng.randint(6, 14)) for _ in range(6)] + [figure_nu()]
+    joins = 0
+    for n in range(2000):
+        nu = nus[n % len(nus)]
+        pool = _oracle_pool(rng, nu)
+        if nu is nus[-1] and n % 2:
+            pool += rng.sample(figure_tails(), 6)
+        check_tau = n % 3 == 0
+        got = boundary_pairs(pool, nu, check_tau=check_tau)
+        assert got == ref_boundary_pairs(pool, nu, check_tau), ([str(t) for t in pool], str(nu))
+        joins += len(got)
+    # the pools are rich in joins, not a vacuous agreement
+    assert joins > 2000

@@ -23,6 +23,7 @@ from tentplane import (
 )
 from tentplane.arcs import Join, side_of_level
 from tentplane.kneading import (
+    _ORBIT_EPS,
     C,
     head_matches,
     kneading_from_text,
@@ -37,7 +38,7 @@ from conftest import GOLDEN, figure_nu, figure_tails, random_kneading
 slope_grid = st.integers(105, 200).map(lambda n: n / 100)
 
 
-def tent_itinerary(s, x, n, eps=1e-12):
+def tent_itinerary(s, x, n):
     """First n itinerary symbols of x under the slope-s tent map: the
     float reference the kneading code is checked against.
 
@@ -48,7 +49,8 @@ def tent_itinerary(s, x, n, eps=1e-12):
     """
     if not 0 <= x <= 1:
         raise MalformedSequence(f"point must lie in [0, 1], got {x!r}")
-    nu = kneading_from_slope(s, eps=eps)
+    eps = _ORBIT_EPS
+    nu = kneading_from_slope(s)
     # a purely periodic kneading sequence happens exactly when c is periodic
     star_sym = nu.seq.period[-1] if nu.exact and nu.seq.is_periodic else "*"
     out = []
@@ -81,6 +83,48 @@ def test_kneading_from_slope_frozen():
     assert not trunc.exact
     assert trunc.expand(5) == "10011"
     assert trunc.validated_depth >= 1000
+
+
+def ref_kneading_from_slope(s, max_iter):
+    """The body kneading_from_slope had when it compared the float orbit
+    with the Fraction c directly."""
+    eps = 1e-12
+    xs = [tent(s, C)]
+    buckets = {round(float(xs[0]) / eps): 0}
+    word = []
+    while len(word) < max_iter:
+        x = xs[-1]
+        if abs(x - C) <= eps:
+            star = "".join(word) + "*"
+            nu = modify_star(RightSeq("", star))
+            return KneadingSequence(nu, slope=float(s))
+        word.append("0" if x < C else "1")
+        nxt = tent(s, x)
+        b = round(float(nxt) / eps)
+        for bb in (b - 1, b, b + 1):
+            i = buckets.get(bb)
+            if i is not None and abs(nxt - xs[i]) <= eps:
+                w = "".join(word)
+                try:
+                    return KneadingSequence(RightSeq(w[:i], w[i:]), slope=float(s))
+                except NotAdmissible:
+                    break
+        xs.append(nxt)
+        buckets.setdefault(b, len(xs) - 1)
+    w = "".join(word)
+    return KneadingSequence(RightSeq(w[:-1], w[-1]), validated_depth=float(len(w)), slope=float(s))
+
+
+def test_kneading_from_slope_agrees_with_reference():
+    rng = random.Random(5)
+    special = [2.0, GOLDEN, math.sqrt(2.0), 1.8, Fraction(2), Fraction(3, 2), 2]
+    randoms = [rng.uniform(1.0001, 2.0) for _ in range(100)]
+    for max_iter, slopes in ((512, special + randoms), (4096, special[:5] + randoms[:15])):
+        for s in slopes:
+            got = kneading_from_slope.__wrapped__(s, max_iter=max_iter)
+            ref = ref_kneading_from_slope(s, max_iter)
+            assert (got.seq, got.validated_depth, got.slope) == (
+                ref.seq, ref.validated_depth, ref.slope), (s, max_iter)
 
 
 def test_modify_star():
@@ -122,6 +166,10 @@ def test_kneading_sequence_guards():
         KneadingSequence(parse_right("(10*)"))
     with pytest.raises(MalformedSequence):
         KneadingSequence(parse_right("(101)"), validated_depth=0.5)
+    # beyond an index-sized integer, a depth cannot be expanded
+    for big in (1e30, float(10**20)):
+        with pytest.raises(MalformedSequence):
+            KneadingSequence(parse_right("1(0)"), validated_depth=big)
     nu = kneading_from_text("(101)")
     assert nu.exact and nu.upper == nu.seq
     assert nu.lower == parse_right("(011)")
@@ -169,6 +217,16 @@ def test_enumerate_cylinders_counts():
     assert [len(enumerate_cylinders(root, d)) for d in range(1, 7)] == [2, 3, 5, 7, 11, 15]
     full = kneading_from_slope(2.0)
     assert [len(enumerate_cylinders(full, d)) for d in range(1, 7)] == [2, 4, 8, 16, 32, 64]
+
+
+def test_enumerate_cylinders_deeper_than_the_call_stack():
+    # one word per symbol of depth would overflow a recursive grower
+    assert enumerate_cylinders(kneading_from_text("(1)"), 1200) == ["1" * 1200]
+    words = enumerate_cylinders(kneading_from_text("(10)"), 300)
+    assert len(words) == 301 and words == sorted(words, key=plex_key)
+    for bad in (0, 10**20):
+        with pytest.raises(MalformedSequence):
+            enumerate_cylinders(kneading_from_text("(1)"), bad)
 
 
 def test_enumerate_cylinders_order_and_closure():

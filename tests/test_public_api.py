@@ -96,3 +96,94 @@ def unreached_definitions(repo: Path) -> list:
 
 def test_every_definition_is_named_somewhere():
     assert unreached_definitions(REPO) == []
+
+
+# defaulted parameters that no call in src/, perfbench/ or the README
+# sets, each with the reason it stays a parameter
+KNOB_ALLOWLIST = {
+    "glue.support_certificate(tol)": "tests pass tol=-1.0 to drive every failure branch",
+    "glue.displacement_certificate(tol)": "tests pass tol=-1.0 to drive every failure branch",
+    "glue.cauchy_certificate(tol)": "tests pass tol=-1.0 to drive every failure branch",
+    "glue.collapse_certificate(tol)": "tests pass tol=-1.0 to drive every failure branch",
+    "glue.ceiling_certificate(tol)": "tests pass tol=-1.0 to drive every failure branch",
+    "arcs.boundary_pairs(check_tau)": "the only check of the landing-index condition on the figure",
+}
+
+
+def _knobs(path: Path) -> list:
+    """Defaulted parameters of every function in a module, as (knob, call
+    name, position among the call's positional arguments or None when
+    keyword-only).  Methods skip their bound first argument, and
+    ``__init__`` is called through its class name."""
+    out = []
+
+    def visit(node, cls, prefix):
+        for item in ast.iter_child_nodes(node):
+            if isinstance(item, ast.ClassDef):
+                visit(item, item.name, f"{prefix}{item.name}.")
+            elif isinstance(item, ast.FunctionDef):
+                a = item.args
+                pos = a.posonlyargs + a.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+                bound = 1 if cls and not static else 0
+                call = cls if item.name == "__init__" else item.name
+                first = len(pos) - len(a.defaults)
+                params = [(p.arg, i - bound) for i, p in enumerate(pos[first:], first)]
+                params += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                for name, index in params:
+                    out.append((f"{path.stem}.{prefix}{item.name}({name})", call, name, index))
+                visit(item, None, f"{prefix}{item.name}.")
+
+    visit(ast.parse(path.read_text()), None, "")
+    return out
+
+
+def _name(node):
+    if isinstance(node, ast.Attribute) and node.attr == "__wrapped__":
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _calls(tree) -> list:
+    """(called name, positional count, keyword names) of every call.  A
+    starred argument counts as setting every later position,
+    ``f.__wrapped__(...)`` as a call of ``f``, and a call whose first
+    argument names a function (the benchmark's ``call(f, *args)``) also
+    as a call of that function with the other arguments."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        keys = {k.arg for k in node.keywords}
+        npos = 10**9 if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+        out.append((_name(node.func), npos, keys))
+        if node.args:
+            out.append((_name(node.args[0]), npos - 1, keys))
+    return out
+
+
+def unset_knobs(repo: Path) -> list:
+    """Defaulted parameters in the package that no call in src/,
+    perfbench/ or the README's Python examples sets, by keyword or by
+    position."""
+    files = [p for d in ("src", "perfbench") for p in (repo / d).rglob("*.py")]
+    readme = (repo / "README.md").read_text()
+    trees = [ast.parse(p.read_text()) for p in files]
+    trees += [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
+    calls = [c for tree in trees for c in _calls(tree)]
+    out = []
+    for path in sorted((repo / "src" / "tentplane").glob("*.py")):
+        for knob, call, name, index in _knobs(path):
+            if not any(
+                cname == call and (name in keys or (index is not None and npos > index))
+                for cname, npos, keys in calls
+            ):
+                out.append(knob)
+    return out
+
+
+def test_every_parameter_default_is_overridden_somewhere():
+    unset = unset_knobs(REPO)
+    assert sorted(k for k in unset if k not in KNOB_ALLOWLIST) == []
+    # an allowlisted parameter that is gone or gained a caller leaves the list
+    assert sorted(unset) == sorted(KNOB_ALLOWLIST)

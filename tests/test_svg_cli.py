@@ -40,7 +40,6 @@ def test_render_deterministic_structure():
     # left bulges sweep counterclockwise on screen
     assert svg.count(" 0 0 1 ") == 1 and svg.count(" 0 0 0 ") == 0
     assert svg.count("<text ") == 2
-    assert render_scene(sc, labels=False).count("<text ") == 0
     assert "rotate(90" in render_scene(sc, portrait=True)
     assert "rotate(90" not in svg
 
@@ -77,6 +76,11 @@ def test_cli_cylinders():
     # a context reorders the same words by block height, bottom first
     code, out = run("cylinders", "--nu", "(101)", "--depth", "2", "--L", "(101).")
     assert code == 0 and out.split() == ["10", "11", "01"]
+    # deeper than the interpreter's recursion limit
+    code, out = run("cylinders", "--nu", "(1)", "--depth", "1200")
+    assert code == 0 and out.split() == ["1" * 1200]
+    code, out = run("verify", "--nu", "(1)", "--L", "(1).", "--depth", "1200")
+    assert code == 0 and out == "0 violation(s)\n"
 
 
 def test_cli_scene_and_verify(tmp_path):
@@ -261,6 +265,12 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
         "no_L.json": ("scene", '{"nu": "(101)", "depth": 3, "x_mode": "rank"}'),
         "broken.json": ("scene", '{"nu": (101)'),
         "typo.json": ("config", '{"nu": "(101)", "depth": "x"}'),
+        # integers past an index-sized int
+        "deep.cfg": ("config", "nu=(101)\nL=(1).\ndepth=100000000000000000000\n"),
+        "trusted400.json": ("scene", '{"nu": "10011001(0)", "L": "(1).", "depth": 3, '
+                            f'"x_mode": "rank", "validated_depth": {10**400}}}'),
+        "trusted30.json": ("scene", '{"nu": "10011001(0)", "L": "(1).", "depth": 3, '
+                           f'"x_mode": "rank", "validated_depth": {10**30}}}'),
     }
     for name, (kind, text) in cases.items():
         path = tmp_path / name
@@ -282,7 +292,9 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
     latin.write_bytes(b'{"nu": "(101)", "L": "\xff"}')
     argvs = [["verify", "--scene", str(tmp_path)], ["verify", "--config", str(tmp_path)],
              ["verify", "--scene", str(latin)], ["verify", "--config", str(latin)],
-             ["scene", "--nu", "(101)", "--depth", "2", "--out", str(tmp_path)]]
+             ["scene", "--nu", "(101)", "--depth", "2", "--out", str(tmp_path)],
+             ["cylinders", "--nu", "(101)", "--depth", str(10**20)],
+             ["verify", "--nu", "(101)", "--L", "(1).", "--depth", str(10**20)]]
     for argv in argvs:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
