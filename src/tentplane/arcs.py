@@ -47,15 +47,36 @@ from .sequences import (
 TAU_INF = math.inf
 
 
-def _match_data(tail: LeftTail, nu: KneadingSequence):
-    """Representative matches up to the detection bound, their parity
-    classes, and the set of parity classes with infinitely many matches."""
-    step = lcm(len(tail.period), len(nu.seq.period))
-    t0 = len(tail.transient) + len(nu.seq.preperiod)
+def _joint(tail: LeftTail, nu: KneadingSequence) -> tuple:
+    # t0 and the joint period: past t0 symbols both words repeat every step
+    return len(tail.transient) + len(nu.seq.preperiod), lcm(len(tail.period), len(nu.seq.period))
+
+
+def match_window(tail: LeftTail, nu: KneadingSequence) -> int:
+    """Length of the window whose head matches decide the landing indices:
+    one less than the detection bound ``t0 + 2 * step + 2``, and at most
+    a truncated nu's validated depth."""
+    t0, step = _joint(tail, nu)
     bound = t0 + 2 * step + 2
     if not nu.exact:
         bound = min(bound, int(nu.validated_depth) + 1)
-    ms = [k + 1 for k in head_matches(tail.window(bound - 1), nu)]
+    return bound - 1
+
+
+def tail_matches(tail: LeftTail, nu: KneadingSequence) -> list:
+    """``head_matches`` of the tail's ``match_window``."""
+    return head_matches(tail.window(match_window(tail, nu)), nu)
+
+
+def _match_data(tail: LeftTail, nu: KneadingSequence, ks: list):
+    """Representative matches up to the detection bound, their parity
+    classes, and the set of parity classes with infinitely many matches.
+
+    ``ks`` is ``tail_matches(tail, nu)``; ``build_scene`` reads it off
+    the tail's admissibility scan (``kneading.tail_scan``) instead.
+    """
+    t0, step = _joint(tail, nu)
+    ms = [k + 1 for k in ks]
     pclass = {n: parity(nu.expand(n - 1)) for n in ms}
     inf: set = set()
     if nu.exact:
@@ -73,14 +94,15 @@ def _match_data(tail: LeftTail, nu: KneadingSequence):
     return ms, pclass, inf
 
 
-def _landing(tail: LeftTail, nu: KneadingSequence):
-    """Landing indices ``(tau_l, tau_r)`` from one match pass, followed by
-    the even-class matches and the odd-class matches above 1.
+def _landing(tail: LeftTail, nu: KneadingSequence, ks: list):
+    """Landing indices ``(tau_l, tau_r)`` from the tail's matches ``ks``
+    (as in ``_match_data``), followed by the even-class matches and the
+    odd-class matches above 1.
 
     tau_r is the largest even match, tau_l the largest odd one (None when
     there is none); either is TAU_INF when its class matches forever.
     """
-    ms, pc, inf = _match_data(tail, nu)
+    ms, pc, inf = _match_data(tail, nu, ks)
     ev = [n for n in ms if pc[n] == 0]
     od = [n for n in ms if pc[n] == 1 and n > 1]
     tr = TAU_INF if 0 in inf else max(ev)
@@ -120,7 +142,13 @@ class Projection:
 
 
 def arc_projection(tail: LeftTail, nu: KneadingSequence) -> Projection:
-    tl, tr, ev, od = _landing(tail, nu)
+    return landing_projection(tail, nu, tail_matches(tail, nu))
+
+
+def landing_projection(tail: LeftTail, nu: KneadingSequence, ks: list) -> Projection:
+    """``arc_projection`` from the tail's matches ``ks`` (as in
+    ``_match_data``)."""
+    tl, tr, ev, od = _landing(tail, nu, ks)
     hi = ev[0]
     for n in ev[1:]:
         if _orbit_cmp_merge(n, hi, nu) is Order.LESS:
@@ -270,7 +298,7 @@ def boundary_pairs(tails, nu: KneadingSequence, check_tau: bool = False) -> list
     for j in _flip_joins(ts, nu, lambda t: t.window(reach), flip_at):
         if check_tau:
             k = 1 if j.side == "right" else 0
-            if _landing(j.low, nu)[k] != j.level or _landing(j.high, nu)[k] != j.level:
+            if any(_landing(t, nu, tail_matches(t, nu))[k] != j.level for t in (j.low, j.high)):
                 continue
         if str(j.high) < str(j.low):
             j = Join(j.level, j.side, j.high, j.low)

@@ -17,6 +17,20 @@ suffix is decided at its first differing symbol, which keeps it inside
 the bounds or flags the word, and is dropped undecided once it has
 matched the whole scanned head.  Admissibility, cylinder growth, landing
 matches (``head_matches``) and one-slot joins all read that state.
+
+Window.  A left tail with transient length T and period length P has
+every factor of length at most D inside its last T + P + D symbols: a
+factor that touches the transient starts within T + D - 1 symbols of the
+dot, and a purely periodic one has the phase of a factor starting in the
+leftmost P positions of that window.  Scanning to depth D over those
+symbols therefore decides every factor the infinite tail has.
+
+One pass.  Bit j + 1 of the state after a symbol depends only on bit j
+before it, so lower bits evolve the same at any scan depth.
+``tail_scan`` grows suffixes to the larger of the admissibility depth
+and the landing-match length, flags only suffixes shorter than the
+admissibility depth, and reads the landing matches from the final bits,
+cut at the match length: one pass gives both answers.
 """
 from __future__ import annotations
 
@@ -24,7 +38,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import MalformedSequence, MalformedStarPeriod, NotAdmissible
@@ -36,7 +50,6 @@ from .sequences import (
     RightSeq,
     compare_right,
     parse_right,
-    plex_compare,
     plex_key,
 )
 
@@ -79,7 +92,9 @@ def validate_kneading(seq: RightSeq, depth: Optional[int] = None):
     ``depth=None`` the check is exact over every distinct shift of the
     eventually periodic word; a finite depth restricts all comparisons to
     that many leading symbols, so only violations visible in the window
-    are reported.
+    are reported.  That window is read once, as a suffix scan of the word
+    against its own head with the upper bound only: a suffix flagged at
+    slot j of step t is the shift k = t - j.
     """
     if depth is None:
         nshifts = len(seq.preperiod) + len(seq.period)
@@ -88,11 +103,19 @@ def validate_kneading(seq: RightSeq, depth: Optional[int] = None):
                 return k
         return None
     word = seq.expand(depth)
-    for k in range(1, depth):
-        c = plex_compare(word[k:], word)
-        if c.decided and c.order is Order.GREATER:
-            return k
-    return None
+    masks = _head_masks(word, 1)
+    live, least = 0, None
+    for t, sym in enumerate(word):
+        on, off = masks[sym]
+        live |= 1
+        hit = live & off
+        if hit:
+            # the highest flagged slot is the least shift at this step
+            k = t + 1 - hit.bit_length()
+            if least is None or k < least:
+                least = k
+        live = (live & on) << 1
+    return least
 
 
 @dataclass(frozen=True)
@@ -195,28 +218,56 @@ def kneading_from_slope(s: Number, *, max_iter: int = 4096) -> KneadingSequence:
     return KneadingSequence(RightSeq(w[:-1], w[-1]), validated_depth=float(len(w)), slope=float(s))
 
 
+# per symbol, the translation of a head into its slots that hold the
+# symbol, that rank below it and that rank above it, as binary digits
+_SAME, _UNDER, _OVER = (
+    {s: str.maketrans({c: "1" if rel(RANK[s], RANK[c]) else "0" for c in SYMBOLS}) for s in SYMBOLS}
+    for rel in (int.__eq__, int.__gt__, int.__lt__)
+)
+
+
+def _slots(rev: str, table: dict) -> int:
+    # bit j is 1 where the j-th symbol of the reversed head ``rev`` does
+    return int("0" + rev.translate(table), 2)
+
+
+def _head_masks(head: str, worse: int) -> dict:
+    """Per symbol, the bit sets ``(on, off)`` over the slots j of ``head``:
+    where the symbol continues the head, and where it leaves the head on
+    the ``worse`` side (1 above, -1 below) in the signed-lex order."""
+    rev = head[::-1]  # slot j is bit j
+    # bit j of odd: head[:j] holds an odd number of 1s (a prefix xor of
+    # the 1s moved up one slot; bits past the head are never read)
+    odd, step = _slots(rev, _SAME["1"]) << 1, 1
+    while step < len(head):
+        odd ^= odd << step
+        step *= 2
+    out = {}
+    for s in SYMBOLS:
+        above, below = _slots(rev, _UNDER[s]), _slots(rev, _OVER[s])
+        if worse < 0:
+            above, below = below, above
+        # past an odd prefix the order flips
+        out[s] = (_slots(rev, _SAME[s]), (above & ~odd) | (below & odd))
+    return out
+
+
 @lru_cache(maxsize=256)
-def _scan_masks(nu: KneadingSequence, depth: int) -> dict:
+def _scan_masks(nu: KneadingSequence, depth: int, flag: int) -> dict:
     # per symbol, bit sets over head slots j < depth: where the symbol
     # continues the head of nu, where it leaves nu from above, and the
-    # same two for the head of shift(nu) and leaving it from below
-    out = {s: [0, 0, 0, 0] for s in SYMBOLS}
-    for base, head, worse in ((0, nu.upper.expand(depth), 1), (2, nu.lower.expand(depth), -1)):
-        odd = False
-        for j, ch in enumerate(head):
-            for s in SYMBOLS:
-                if s == ch:
-                    out[s][base] |= 1 << j
-                elif ((RANK[s] - RANK[ch]) * worse > 0) != odd:
-                    out[s][base + 1] |= 1 << j
-            if ch == "1":
-                odd = not odd
-    return {s: tuple(m) for s, m in out.items()}
+    # same two for the head of shift(nu) and leaving it from below; only
+    # slots j < flag leave
+    cut = (1 << flag) - 1
+    up = _head_masks(nu.upper.expand(depth), 1)
+    down = _head_masks(nu.lower.expand(depth), -1)
+    return {s: (up[s][0], up[s][1] & cut, down[s][0], down[s][1] & cut) for s in SYMBOLS}
 
 
 class HeadScan:
     """Suffix scan against the first ``depth`` symbols of nu and shift(nu),
-    ``depth`` capped at a truncated nu's validated depth.
+    ``depth`` capped at a truncated nu's validated depth.  Only suffixes
+    shorter than ``flag_depth`` (default: the whole depth) can flag.
 
     A state ``(up, down, bad)`` holds the lengths of the live nonempty
     suffixes on each head as bit sets (bit k for length k) and whether
@@ -225,18 +276,36 @@ class HeadScan:
 
     start = (0, 0, False)
 
-    def __init__(self, nu: KneadingSequence, depth: int):
+    def __init__(self, nu: KneadingSequence, depth: int, flag_depth: Optional[int] = None):
         if not nu.exact:
             depth = min(depth, int(nu.validated_depth))
         self.depth = depth
-        self._masks = _scan_masks(nu, depth)
+        flag = depth if flag_depth is None else min(flag_depth, depth)
+        self._masks = _scan_masks(nu, depth, flag)
 
-    def push(self, state, sym: str):
-        """The state after one more symbol."""
+    def read(self, word: str, state) -> tuple:
+        """The state after the symbols of ``word``, left to right."""
         up, down, bad = state
-        up_on, up_off, down_on, down_off = self._masks[sym]
-        up, down = up | 1, down | 1  # the empty suffix starts at this symbol
-        return (up & up_on) << 1, (down & down_on) << 1, bad or bool(up & up_off or down & down_off)
+        masks = self._masks
+        for sym in word:
+            up_on, up_off, down_on, down_off = masks[sym]
+            up |= 1  # the empty suffix starts at this symbol
+            down |= 1
+            if up & up_off or down & down_off:
+                bad = True
+            up = (up & up_on) << 1
+            down = (down & down_on) << 1
+        return up, down, bad
+
+
+def _bits(x: int) -> list:
+    """Positions of the set bits of ``x``, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
 
 
 def head_matches(word: str, nu: KneadingSequence) -> list:
@@ -244,17 +313,16 @@ def head_matches(word: str, nu: KneadingSequence) -> list:
     the first k of nu; 0 always matches, and no k exceeds a truncated nu's
     validated depth."""
     scan = HeadScan(nu, len(word))
-    up = reduce(scan.push, word, scan.start)[0] | 1
-    return [k for k in range(scan.depth + 1) if up >> k & 1]
+    return _bits(scan.read(word, scan.start)[0] | 1)
 
 
-def is_admissible_tail(tail: LeftTail, nu: KneadingSequence, depth: Optional[int] = None) -> bool:
-    """Whether every factor of a left tail obeys the kneading bounds.
+def tail_scan(tail: LeftTail, nu: KneadingSequence, match_len: int, depth: Optional[int] = None) -> tuple:
+    """``is_admissible_tail(tail, nu, depth)`` and
+    ``head_matches(tail.window(match_len), nu)`` from one pass.
 
-    Factors of length up to ``depth`` are scanned over one transient plus
-    a full period plus slack, which covers every factor the infinite tail
-    has at that length.  Undecided comparisons pass: only provable
-    violations reject.
+    Suffixes grow to the larger of the two depths over the longer of the
+    two windows; only those shorter than the admissibility depth flag,
+    and the matches are the final bits up to the match length.
     """
     if depth is None:
         depth = max(
@@ -262,9 +330,24 @@ def is_admissible_tail(tail: LeftTail, nu: KneadingSequence, depth: Optional[int
             len(tail.transient) + len(tail.period),
             len(nu.seq.preperiod) + 2 * len(nu.seq.period),
         )
-    scan = HeadScan(nu, depth)
-    win = tail.window(len(tail.transient) + len(tail.period) + 2 * scan.depth)
-    return not reduce(scan.push, win, scan.start)[2]
+    scan = HeadScan(nu, max(depth, match_len), depth)
+    adm, reach = min(depth, scan.depth), min(match_len, scan.depth)
+    win = tail.window(max(len(tail.transient) + len(tail.period) + adm, match_len))
+    up, _, bad = scan.read(win, scan.start)
+    return not bad, _bits((up | 1) & ((2 << reach) - 1))
+
+
+def is_admissible_tail(tail: LeftTail, nu: KneadingSequence, depth: Optional[int] = None) -> bool:
+    """Whether every factor of a left tail obeys the kneading bounds.
+
+    Factors of length up to ``depth`` (capped at a truncated nu's
+    validated depth) are scanned over the tail's last T + P + depth
+    symbols, T and P its transient and period lengths: that window holds
+    every factor the infinite tail has at those lengths (see the module
+    docstring).  Undecided comparisons pass: only provable violations
+    reject.
+    """
+    return tail_scan(tail, nu, 0, depth)[0]
 
 
 def enumerate_cylinders(nu: KneadingSequence, depth: int) -> list:
@@ -279,7 +362,7 @@ def enumerate_cylinders(nu: KneadingSequence, depth: int) -> list:
             (w + s, state)
             for w, prev in level
             for s in "01"
-            for state in (scan.push(prev, s),)
+            for state in (scan.read(s, prev),)
             if not state[2]
         ]
     return sorted((w for w, _ in level), key=plex_key)

@@ -35,14 +35,15 @@ from typing import NamedTuple, Optional
 from .arcs import (
     Projection,
     _flip_joins,
-    arc_projection,
     boundary_pairs,
+    landing_projection,
+    match_window,
     resolve_x,
     window_projection,
 )
 from .cantor import CantorCoordinate, block_midpoint, cantor_coordinate
 from .errors import MalformedSequence, NotAdmissible, ParseError
-from .kneading import KneadingSequence, enumerate_cylinders, is_admissible_tail
+from .kneading import KneadingSequence, enumerate_cylinders, is_admissible_tail, tail_scan
 from .sequences import LeftTail, parse_left, parse_right
 
 # value-mode slack of both checkers; rank mode is exact
@@ -130,10 +131,13 @@ def build_scene(
             tail = parse_left(item) if isinstance(item, str) else item
             if tail in seen:
                 continue
-            if not is_admissible_tail(tail, nu):
+            # the admissibility verdict and the landing matches, one pass
+            ok, ks = tail_scan(tail, nu, match_window(tail, nu))
+            if not ok:
                 raise NotAdmissible(f"tail {label} is not admissible")
             seen[tail] = label
-            entries.append((label, tail, None, cantor_coordinate(tail, context), arc_projection(tail, nu)))
+            proj = landing_projection(tail, nu, ks)
+            entries.append((label, tail, None, cantor_coordinate(tail, context), proj))
         mode = "tails"
     else:
         for w in enumerate_cylinders(nu, depth):

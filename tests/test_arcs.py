@@ -28,6 +28,7 @@ from tentplane.arcs import (
     flip_at,
     orbit_compare,
     side_of_level,
+    tail_matches,
     window_projection,
 )
 from tentplane.kneading import head_matches
@@ -36,6 +37,10 @@ from tentplane.sequences import Order, tails_equal_horizon
 GOLD = kneading_from_slope((1 + math.sqrt(5)) / 2)
 FULL = kneading_from_slope(2.0)
 SQ2 = kneading_from_slope(math.sqrt(2))
+
+
+def landing(tail, nu):
+    return _landing(tail, nu, tail_matches(tail, nu))
 
 
 def test_match_indices_frozen():
@@ -55,13 +60,13 @@ def test_match_indices_truncated_cap():
 
 def test_tau_frozen():
     a, b = parse_left("(011)010."), parse_left("(011)110.")
-    assert _landing(a, GOLD)[:2] == (3, 1)
-    assert _landing(b, GOLD)[:2] == (3, 1)
+    assert landing(a, GOLD)[:2] == (3, 1)
+    assert landing(b, GOLD)[:2] == (3, 1)
     # the context tail itself matches at every multiple of its period
-    tl, tr, _, _ = _landing(parse_left("(101)."), GOLD)
+    tl, tr, _, _ = landing(parse_left("(101)."), GOLD)
     assert tl == 2
     assert tr is TAU_INF
-    assert _landing(parse_left("(1)."), FULL)[:2] == (2, 1)
+    assert landing(parse_left("(1)."), FULL)[:2] == (2, 1)
 
 
 def test_projection_frozen():
@@ -256,7 +261,7 @@ def ref_boundary_pairs(tails, nu, check_tau=False):
             side = side_of_level(nu, m)
             if check_tau:
                 k = 1 if side == "right" else 0
-                if _landing(a, nu)[k] != m or _landing(b, nu)[k] != m:
+                if landing(a, nu)[k] != m or landing(b, nu)[k] != m:
                     continue
             lo, hi = a, b
             if str(b) < str(a):

@@ -3,6 +3,7 @@ validation, admissibility, and cylinder enumeration."""
 import math
 import random
 from fractions import Fraction
+from functools import partial, reduce
 
 import pytest
 from hypothesis import given, settings
@@ -22,18 +23,24 @@ from tentplane import (
     validate_kneading,
 )
 from tentplane.arcs import Join, side_of_level
+from tentplane.arcs import match_window
 from tentplane.kneading import (
     _ORBIT_EPS,
+    RANK,
+    SYMBOLS,
     C,
+    HeadScan,
+    _scan_masks,
     head_matches,
     kneading_from_text,
     modify_star,
+    tail_scan,
     tent,
 )
 from tentplane.scene import _cylinder_pairs
-from tentplane.sequences import LeftTail, Order, plex_compare, plex_key
+from tentplane.sequences import LeftTail, Order, compare_right, plex_compare, plex_key
 
-from conftest import GOLDEN, figure_nu, figure_tails, random_kneading
+from conftest import GOLDEN, figure_nu, figure_tails, random_kneading, random_tail
 
 slope_grid = st.integers(105, 200).map(lambda n: n / 100)
 
@@ -155,6 +162,45 @@ def test_validate_kneading():
     assert validate_kneading(parse_right("1100110(0)"), 4) == 1
     # the same word looks fine in a window too short to see the flaw
     assert validate_kneading(parse_right("1100110(0)"), 2) is None
+
+
+def ref_validate_kneading(seq, depth=None):
+    """The body validate_kneading had before the finite-depth check became
+    one suffix scan: every shift compared afresh with the whole word."""
+    if depth is None:
+        nshifts = len(seq.preperiod) + len(seq.period)
+        for k in range(1, nshifts + 1):
+            if compare_right(seq.shift(k), seq).order is Order.GREATER:
+                return k
+        return None
+    word = seq.expand(depth)
+    for k in range(1, depth):
+        c = plex_compare(word[k:], word)
+        if c.decided and c.order is Order.GREATER:
+            return k
+    return None
+
+
+def test_validate_kneading_agrees_with_reference():
+    rng = random.Random(19)
+    seen = set()
+    for n in range(3000):
+        alphabet = "01*" if n % 10 == 0 else "01"
+        # mostly words that start like a kneading sequence, so that the
+        # least violating shift is often deep or missing
+        pre = "1" + "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        if n % 2:
+            pre = "10" + "".join(rng.choice("0111") for _ in range(rng.randint(0, 12)))
+        per = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 5)))
+        seq = RightSeq(pre, per)
+        depth = rng.randint(1, 60) if n % 100 else 512
+        got = validate_kneading(seq, depth)
+        assert got == ref_validate_kneading(seq, depth), (str(seq), depth)
+        seen.add(got if got is None or got < 3 else 3)
+    # no violation, a first-shift violation and deeper least shifts all occur
+    assert seen == {None, 1, 2, 3}
+    for text in ("(101)", "1(0)", "(110)", "10(1)", "100(1)", "(1001)"):
+        assert validate_kneading(parse_right(text)) == ref_validate_kneading(parse_right(text))
 
 
 def test_kneading_sequence_guards():
@@ -374,3 +420,105 @@ def test_scan_agrees_with_reference_rules(nu):
         for depth in (None, 3, 7):
             assert is_admissible_tail(tail, nu, depth) == ref_admissible_tail(tail, nu, depth), (
                 str(tail), depth)
+
+
+def ref_scan_masks(nu, depth):
+    """The body _scan_masks had before its bit sets were read off
+    translated strings: one slot at a time."""
+    out = {s: [0, 0, 0, 0] for s in SYMBOLS}
+    for base, head, worse in ((0, nu.upper.expand(depth), 1), (2, nu.lower.expand(depth), -1)):
+        odd = False
+        for j, ch in enumerate(head):
+            for s in SYMBOLS:
+                if s == ch:
+                    out[s][base] |= 1 << j
+                elif ((RANK[s] - RANK[ch]) * worse > 0) != odd:
+                    out[s][base + 1] |= 1 << j
+            if ch == "1":
+                odd = not odd
+    return {s: tuple(m) for s, m in out.items()}
+
+
+def ref_push(masks, state, sym):
+    """The one-symbol step HeadScan.read replaced (folded with reduce)."""
+    up, down, bad = state
+    up_on, up_off, down_on, down_off = masks[sym]
+    up, down = up | 1, down | 1
+    return (up & up_on) << 1, (down & down_on) << 1, bad or bool(up & up_off or down & down_off)
+
+
+def test_read_agrees_with_push():
+    rng = random.Random(23)
+    nus = _oracle_nus() + [kneading_from_text(t) for t in ("(1)", "(10)", "100(1)")]
+    for nu in nus:
+        for depth in (0, 1, 2, 5, 9, 17, 40):
+            ref = ref_scan_masks(nu, depth)
+            assert _scan_masks(nu, depth, depth) == ref, (str(nu), depth)
+            for flag in (None, 0, depth // 2, depth + 3):
+                scan = HeadScan(nu, depth, flag)
+                cut = (1 << (scan.depth if flag is None else min(flag, scan.depth))) - 1
+                masks = ref_scan_masks(nu, scan.depth)
+                masks = {s: (a, b & cut, c, d & cut) for s, (a, b, c, d) in masks.items()}
+                for _ in range(5):
+                    word = "".join(rng.choice("01*" if rng.random() < 0.2 else "01")
+                                   for _ in range(rng.randint(0, 60)))
+                    state = (rng.getrandbits(8) << 1, rng.getrandbits(8) << 1, rng.random() < 0.2)
+                    want = reduce(partial(ref_push, masks), word, state)
+                    assert scan.read(word, state) == want, (str(nu), depth, flag, word)
+
+
+def ref_match_window(tail, nu):
+    """The window _match_data scanned for landing matches: one less than
+    its detection bound."""
+    step = math.lcm(len(tail.period), len(nu.seq.period))
+    bound = len(tail.transient) + len(nu.seq.preperiod) + 2 * step + 2
+    if not nu.exact:
+        bound = min(bound, int(nu.validated_depth) + 1)
+    return bound - 1
+
+
+def _scan_cases():
+    """(nu, tails, depths): the named exact nus, slopes cut at 64 and 512
+    symbols, and the random truncated words, each with random tails
+    (admissible or not) and the tail repeating nu's period.  Short nus
+    also get (1)., (0)., and (010). and (001)1., whose violations for
+    golden nu at depth 2 all start beyond their last T + D symbols."""
+    rng = random.Random(29)
+    exact = [kneading_from_slope(s) for s in (2.0, GOLDEN, math.sqrt(2.0))]
+    exact += [kneading_from_text(t) for t in ("(1)", "(10)", "(100)", "(1001)", "100(1)")]
+    cut = [kneading_from_slope.__wrapped__(s, max_iter=n) for s in (1.62, 1.77, 1.85, 1.93) for n in (64, 512)]
+    assert not any(nu.exact for nu in cut)
+    for nu in exact + cut + _oracle_nus()[3:]:
+        deep = nu.validated_depth > 100
+        tails = [LeftTail(nu.seq.period)]
+        if not deep:
+            tails += [parse_left(t) for t in ("(010).", "(001)1.", "(1).", "(0).")]
+        for _ in range(6 if deep else 12):
+            per = "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
+            tails.append(LeftTail(per, "".join(rng.choice("01") for _ in range(rng.randint(0, 6)))))
+        if deep:
+            # random tails rarely pass a long nu; add sampled admissible ones
+            tails += [random_tail(rng, nu) for _ in range(4)]
+        yield nu, tails, (None,) if deep else (None, 2, 3, 7)
+
+
+def test_tail_scan_agrees_with_reference():
+    shapes = set()
+    for nu, tails, depths in _scan_cases():
+        for tail in tails:
+            n = ref_match_window(tail, nu)
+            assert match_window(tail, nu) == n
+            want_ks = ref_head_matches(tail.window(n), nu)
+            for depth in depths:
+                want = (ref_admissible_tail(tail, nu, depth), want_ks)
+                assert tail_scan(tail, nu, n, depth) == want, (str(tail), str(nu), depth)
+                # alone, the admissibility scan reads the shortest window
+                assert is_admissible_tail(tail, nu, depth) == want[0], (str(tail), str(nu), depth)
+                if depth is None:
+                    depth = max(8, len(tail.transient) + len(tail.period),
+                                len(nu.seq.preperiod) + 2 * len(nu.seq.period))
+                adm = _ref_bounds(nu, depth)[0]
+                shapes.add((want[0], (n > adm) - (n < adm)))
+    # admissible and not, with the match window shorter and longer than
+    # the admissibility depth
+    assert shapes == {(a, c) for a in (True, False) for c in (-1, 0, 1)}

@@ -8,7 +8,7 @@ from conftest import figure_nu, figure_tails
 
 from tentplane import build_scene, kneading_from_slope, parse_left
 from tentplane.cli import main, parse_config
-from tentplane.errors import ConflictError, ParseError
+from tentplane.errors import ConflictError, NotAdmissible, ParseError
 from tentplane.svg import render_scene
 
 import pytest
@@ -157,6 +157,22 @@ def test_cli_verify_tampered_scene_file(tmp_path):
     data["joins"] = "none"
     path.write_text(json.dumps(data))
     assert run("verify", "--scene", str(path))[0] == 2
+
+
+def test_cli_inadmissible_tail_in_scene_file(tmp_path, capsys):
+    # (100). leaves golden nu's bounds at its factor 100
+    with pytest.raises(NotAdmissible, match=r"^tail \(100\)\. is not admissible$"):
+        build_scene(GOLD, "(101).", tails=["(011)010.", "(100)."])
+    path = _written_scene(tmp_path, "--nu", "(101)", "--L", "(101).",
+                          "--tails", "(011)010.", "(011)110.")
+    data = json.loads(path.read_text())
+    # the row of (011)110., which is stored as typed and so has no label
+    row, = [r for r in data["segments"] if "label" not in r]
+    row["tail"] = "(100)."
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--scene", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: tail (100). is not admissible\n")
 
 
 def test_cli_scene_commands_refuse_tampered_file(tmp_path):
