@@ -39,7 +39,6 @@ from .sequences import (
     Comparison,
     LeftTail,
     Order,
-    compare_right,
     parity,
     plex_compare,
 )
@@ -57,10 +56,7 @@ def match_window(tail: LeftTail, nu: KneadingSequence) -> int:
     one less than the detection bound ``t0 + 2 * step + 2``, and at most
     a truncated nu's validated depth."""
     t0, step = _joint(tail, nu)
-    bound = t0 + 2 * step + 2
-    if not nu.exact:
-        bound = min(bound, int(nu.validated_depth) + 1)
-    return bound - 1
+    return int(min(t0 + 2 * step + 2, nu.validated_depth + 1)) - 1
 
 
 def tail_matches(tail: LeftTail, nu: KneadingSequence) -> list:
@@ -111,16 +107,15 @@ def _landing(tail: LeftTail, nu: KneadingSequence, ks: list):
 
 
 def orbit_compare(i: int, j: int, nu: KneadingSequence) -> Comparison:
-    """x-order of T^i(c) versus T^j(c) through their itineraries."""
+    """x-order of T^i(c) versus T^j(c), read off the head of nu that decides it."""
     if i < 1 or j < 1:
         raise IndexError("orbit indices start at 1")
-    if nu.exact:
-        return compare_right(nu.seq.shift(i - 1), nu.seq.shift(j - 1))
-    d = int(nu.validated_depth)
+    d = nu.validated_depth
     if i - 1 >= d or j - 1 >= d:
-        raise AmbiguousAtDepth(f"orbit index beyond validated depth {d}", depth=d)
-    word = nu.expand(d)
-    return plex_compare(word[i - 1 :], word[j - 1 :])
+        raise AmbiguousAtDepth(f"orbit index beyond validated depth {int(d)}", depth=int(d))
+    word = nu.expand(int(min(d, max(i, j) - 1 + len(nu.seq.preperiod) + len(nu.seq.period))))
+    c = plex_compare(word[i - 1 :], word[j - 1 :])
+    return Comparison(c.order, c.decided or nu.exact)
 
 
 def _orbit_cmp_merge(i: int, j: int, nu: KneadingSequence) -> Order:
@@ -194,6 +189,8 @@ def resolve_x(indices, nu: KneadingSequence, mode: str = "rank", slope=None) -> 
         s = slope if slope is not None else nu.slope
         if s is None:
             raise MalformedSequence("value mode needs a slope")
+        if not 1 < s <= 2:
+            raise MalformedSequence(f"slope must be in (1, 2], got {s!r}")
         out = {}
         x = C
         for i in range(1, max(idx) + 1):
@@ -228,7 +225,7 @@ def resolve_x(indices, nu: KneadingSequence, mode: str = "rank", slope=None) -> 
 
 
 def side_of_level(nu: KneadingSequence, m: int) -> str:
-    if not nu.exact and m - 1 > int(nu.validated_depth):
+    if m - 1 > nu.validated_depth:
         raise AmbiguousAtDepth(f"side of level {m} needs more of nu", depth=nu.validated_depth)
     return "right" if parity(nu.expand(m - 1)) == 0 else "left"
 

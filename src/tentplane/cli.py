@@ -7,6 +7,7 @@ conflicting or undecidable requests).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -204,6 +205,7 @@ def _add_source_args(p: argparse.ArgumentParser, with_scene: bool = False):
         p.add_argument("--scene", help="read a scene from this JSON file instead")
 
 
+@functools.cache  # each parse_args fills a fresh namespace
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="tentplane")
     sub = top.add_subparsers(dest="command", required=True)

@@ -23,7 +23,13 @@ every factor of length at most D inside its last T + P + D symbols: a
 factor that touches the transient starts within T + D - 1 symbols of the
 dot, and a purely periodic one has the phase of a factor starting in the
 leftmost P positions of that window.  Scanning to depth D over those
-symbols therefore decides every factor the infinite tail has.
+symbols therefore decides every factor the infinite tail has.  Nu's own
+questions are bounded alike, T and P its preperiod and period: a shift
+of nu agreeing with nu on T + P symbols agrees forever, so shifts
+k <= T + P are decided within 2 * (T + P) symbols (later ones repeat one
+P earlier), and the itineraries of T^i(c) and T^j(c) repeat in lockstep
+T + P symbols past the later start.  An exact nu is one validated to
+depth ``math.inf``; each question reads min(validated depth, its window).
 
 One pass.  Bit j + 1 of the state after a symbol depends only on bit j
 before it, so lower bits evolve the same at any scan depth.
@@ -89,20 +95,14 @@ def validate_kneading(seq: RightSeq, depth: Optional[int] = None):
     """Least shift k >= 1 that provably exceeds the sequence, or None.
 
     A kneading sequence must dominate all of its shifts.  With
-    ``depth=None`` the check is exact over every distinct shift of the
-    eventually periodic word; a finite depth restricts all comparisons to
-    that many leading symbols, so only violations visible in the window
-    are reported.  That window is read once, as a suffix scan of the word
-    against its own head with the upper bound only: a suffix flagged at
-    slot j of step t is the shift k = t - j.
+    ``depth=None`` the check is exact; a finite depth reports only the
+    violations visible in that many leading symbols.  The word is read
+    once, over at most 2 * (T + P) symbols (see the module docstring), as
+    a suffix scan against its own head with the upper bound only: a
+    suffix flagged at slot j of step t is the shift k = t - j.
     """
-    if depth is None:
-        nshifts = len(seq.preperiod) + len(seq.period)
-        for k in range(1, nshifts + 1):
-            if compare_right(seq.shift(k), seq).order is Order.GREATER:
-                return k
-        return None
-    word = seq.expand(depth)
+    n = 2 * (len(seq.preperiod) + len(seq.period))
+    word = seq.expand(n if depth is None else min(depth, n))
     masks = _head_masks(word, 1)
     live, least = 0, None
     for t, sym in enumerate(word):
@@ -277,9 +277,7 @@ class HeadScan:
     start = (0, 0, False)
 
     def __init__(self, nu: KneadingSequence, depth: int, flag_depth: Optional[int] = None):
-        if not nu.exact:
-            depth = min(depth, int(nu.validated_depth))
-        self.depth = depth
+        self.depth = depth = int(min(depth, nu.validated_depth))
         flag = depth if flag_depth is None else min(flag_depth, depth)
         self._masks = _scan_masks(nu, depth, flag)
 

@@ -8,8 +8,6 @@ draws them as elliptical arcs.
 """
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from .scene import Scene
 
 # canvas size and frame inset, in pixels
@@ -60,6 +58,8 @@ def render_scene(scene: Scene, *, portrait: bool = False) -> str:
     )
     for s in scene.segments:
         y = Y(float(s.y.value))
+        # as xml.sax.saxutils.escape, whose import loads urllib and email
+        label = s.label.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
         parts.append(
             f'<line x1="{_f(X(float(s.x_lo)))}" y1="{_f(y)}" x2="{_f(X(float(s.x_hi)))}" '
             f'y2="{_f(y)}" stroke="#000000" stroke-width="1.5"/>'
@@ -76,9 +76,11 @@ def render_scene(scene: Scene, *, portrait: bool = False) -> str:
         )
     for s in scene.segments:
         y = Y(float(s.y.value))
+        # as xml.sax.saxutils.escape, whose import loads urllib and email
+        label = s.label.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
         parts.append(
             f'<text x="{_f(X(float(s.x_hi)) + 5)}" y="{_f(y + 3)}" '
-            f'font-family="monospace" font-size="10">{escape(s.label)}</text>'
+            f'font-family="monospace" font-size="10">{label}</text>'
         )
     if portrait:
         parts.append("</g>")

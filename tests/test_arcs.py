@@ -14,12 +14,14 @@ from tentplane import (
     KneadingSequence,
     LeftTail,
     MalformedSequence,
+    RightSeq,
     arc_projection,
     boundary_pairs,
     kneading_from_slope,
     parse_left,
     parse_right,
     resolve_x,
+    validate_kneading,
 )
 from tentplane.arcs import (
     TAU_INF,
@@ -32,7 +34,7 @@ from tentplane.arcs import (
     window_projection,
 )
 from tentplane.kneading import head_matches
-from tentplane.sequences import Order, tails_equal_horizon
+from tentplane.sequences import Order, compare_right, plex_compare, tails_equal_horizon
 
 GOLD = kneading_from_slope((1 + math.sqrt(5)) / 2)
 FULL = kneading_from_slope(2.0)
@@ -140,6 +142,11 @@ def test_resolve_errors():
         resolve_x([1, 2], bare, mode="value")
     with pytest.raises(MalformedSequence):
         resolve_x([1, 2], GOLD, mode="midpoint")
+    # the value layout runs only the tent maps of the family
+    for slope in (5.0, -1.0, 0.5, 1.0, math.nan, math.inf):
+        with pytest.raises(MalformedSequence, match=r"^slope must be in \(1, 2\], got "):
+            resolve_x([1, 2], GOLD, mode="value", slope=slope)
+    assert resolve_x([1], GOLD, mode="value", slope=2.0) == {1: 1.0}
 
 
 def test_orbit_compare():
@@ -151,6 +158,66 @@ def test_orbit_compare():
     assert orbit_compare(2, 3, fig).order is Order.LESS
     with pytest.raises(AmbiguousAtDepth):
         orbit_compare(10, 1, fig)
+
+
+def ref_orbit_compare(i, j, nu):
+    """The body orbit_compare had before exact and truncated nu shared one
+    path: two exact shifts, or suffixes of nu expanded to its whole
+    validated depth."""
+    if i < 1 or j < 1:
+        raise IndexError("orbit indices start at 1")
+    if nu.exact:
+        return compare_right(nu.seq.shift(i - 1), nu.seq.shift(j - 1))
+    d = int(nu.validated_depth)
+    if i - 1 >= d or j - 1 >= d:
+        raise AmbiguousAtDepth(f"orbit index beyond validated depth {d}", depth=d)
+    word = nu.expand(d)
+    return plex_compare(word[i - 1 :], word[j - 1 :])
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except AmbiguousAtDepth as e:
+        return ("ambiguous", str(e), e.depth)
+
+
+def _orbit_nus():
+    """Exact nus, slopes cut at 64 and 512 symbols, random truncated
+    words, and truncated nus validated past their stored word's
+    preperiod and period."""
+    rng = random.Random(31)
+    exact = [FULL, GOLD, SQ2] + [KneadingSequence(parse_right(t))
+                                 for t in ("(1)", "(10)", "(100)", "(1001)", "100(1)")]
+    cut = [kneading_from_slope.__wrapped__(s, max_iter=64) for s in (1.62, 1.77, 1.85, 1.93)]
+    cut.append(kneading_from_slope.__wrapped__(1.77, max_iter=512))
+    randoms = [random_kneading(rng) for _ in range(20)]
+    past = [KneadingSequence(parse_right(t), validated_depth=float(d))
+            for t, d in (("(101)", 20), ("100(1)", 15), ("(1001)", 30), ("1(0)", 9))]
+    for _ in range(4):
+        word = "1" + "".join(rng.choice("01") for _ in range(rng.randint(4, 9)))
+        seq = RightSeq(word, "0")
+        if validate_kneading(seq, len(word) + 6) is None:
+            past.append(KneadingSequence(seq, validated_depth=float(len(word) + 6)))
+    return exact, cut + randoms + past
+
+
+def test_orbit_compare_agrees_with_reference():
+    exact, truncated = _orbit_nus()
+    shapes = set()
+    for nu in exact + truncated:
+        span = len(nu.seq.preperiod) + len(nu.seq.period)
+        top = 3 * span + 2 if nu.exact else int(nu.validated_depth) + 2
+        for i in range(1, top + 1):
+            for j in range(1, top + 1):
+                got = _outcome(orbit_compare, i, j, nu)
+                assert got == _outcome(ref_orbit_compare, i, j, nu), (str(nu), i, j)
+                shapes.add((nu.exact, got[0] if isinstance(got, tuple) else got.decided))
+    # decided and undecided comparisons, and indices past the validated depth
+    assert shapes == {(True, True), (False, True), (False, False), (False, "ambiguous")}
+    # nus validated past their stored word ask the shortest head to decide
+    assert sum(len(nu.seq.preperiod) + len(nu.seq.period) < nu.validated_depth
+               for nu in truncated) >= 6
 
 
 def test_side_of_level_frozen():

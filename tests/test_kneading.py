@@ -164,15 +164,22 @@ def test_validate_kneading():
     assert validate_kneading(parse_right("1100110(0)"), 2) is None
 
 
+def ref_validate_exact(seq):
+    """The exact body validate_kneading had before every depth became one
+    suffix scan: each distinct shift compared with the whole infinite
+    word."""
+    nshifts = len(seq.preperiod) + len(seq.period)
+    for k in range(1, nshifts + 1):
+        if compare_right(seq.shift(k), seq).order is Order.GREATER:
+            return k
+    return None
+
+
 def ref_validate_kneading(seq, depth=None):
     """The body validate_kneading had before the finite-depth check became
     one suffix scan: every shift compared afresh with the whole word."""
     if depth is None:
-        nshifts = len(seq.preperiod) + len(seq.period)
-        for k in range(1, nshifts + 1):
-            if compare_right(seq.shift(k), seq).order is Order.GREATER:
-                return k
-        return None
+        return ref_validate_exact(seq)
     word = seq.expand(depth)
     for k in range(1, depth):
         c = plex_compare(word[k:], word)
@@ -181,18 +188,23 @@ def ref_validate_kneading(seq, depth=None):
     return None
 
 
-def test_validate_kneading_agrees_with_reference():
-    rng = random.Random(19)
-    seen = set()
-    for n in range(3000):
+def _validate_cases(rng, count):
+    """Random words, a tenth of them with stars, mostly starting like a
+    kneading sequence so that the least violating shift is often deep or
+    missing."""
+    for n in range(count):
         alphabet = "01*" if n % 10 == 0 else "01"
-        # mostly words that start like a kneading sequence, so that the
-        # least violating shift is often deep or missing
         pre = "1" + "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
         if n % 2:
             pre = "10" + "".join(rng.choice("0111") for _ in range(rng.randint(0, 12)))
         per = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 5)))
-        seq = RightSeq(pre, per)
+        yield n, RightSeq(pre, per)
+
+
+def test_validate_kneading_agrees_with_reference():
+    rng = random.Random(19)
+    seen = set()
+    for n, seq in _validate_cases(rng, 3000):
         depth = rng.randint(1, 60) if n % 100 else 512
         got = validate_kneading(seq, depth)
         assert got == ref_validate_kneading(seq, depth), (str(seq), depth)
@@ -201,6 +213,22 @@ def test_validate_kneading_agrees_with_reference():
     assert seen == {None, 1, 2, 3}
     for text in ("(101)", "1(0)", "(110)", "10(1)", "100(1)", "(1001)"):
         assert validate_kneading(parse_right(text)) == ref_validate_kneading(parse_right(text))
+
+
+def test_validate_kneading_exact_agrees_with_reference():
+    # the exact check is the suffix scan over 2 * (T + P) symbols; every
+    # finite depth up to twice that window is pinned too
+    rng = random.Random(23)
+    shapes = set()
+    for _, seq in _validate_cases(rng, 2000):
+        span = len(seq.preperiod) + len(seq.period)
+        want = ref_validate_exact(seq)
+        assert validate_kneading(seq) == want, str(seq)
+        # T + P symbols of the word do not always decide
+        shapes.add(validate_kneading(seq, span) == want)
+        for depth in range(1, 4 * span + 1):
+            assert validate_kneading(seq, depth) == ref_validate_kneading(seq, depth), (str(seq), depth)
+    assert shapes == {True, False}
 
 
 def test_kneading_sequence_guards():

@@ -2,11 +2,16 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
+from xml.sax.saxutils import escape
 
 from conftest import figure_nu, figure_tails
 
-from tentplane import build_scene, kneading_from_slope, parse_left
+from tentplane import RightSeq, build_scene, cli, kneading_from_slope, parse_left
 from tentplane.cli import main, parse_config
 from tentplane.errors import ConflictError, NotAdmissible, ParseError
 from tentplane.svg import render_scene
@@ -194,6 +199,56 @@ def test_cli_scene_commands_refuse_tampered_file(tmp_path):
     assert not svg.exists()
 
 
+def test_cli_verify_scene_file_trusted_far_past_its_word(tmp_path, monkeypatch):
+    # a validated depth far past the stored word reads no more of nu than
+    # the questions need
+    expand = RightSeq.expand
+
+    def bounded(self, n):
+        assert n <= 10**6, f"expanded {n} symbols"
+        return expand(self, n)
+
+    monkeypatch.setattr(RightSeq, "expand", bounded)
+    path = _written_scene(tmp_path, "--nu", "(101)", "--L", "(1).", "--depth", "6")
+    data = json.loads(path.read_text())
+    for depth in (10**9, 10**15):
+        data["validated_depth"] = depth
+        path.write_text(json.dumps(data))
+        assert run("verify", "--scene", str(path)) == (0, "0 violation(s)\n"), depth
+
+
+def test_render_escapes_labels_as_saxutils():
+    sc = build_scene(GOLD, "(1).", tails=["(011)010.", "(011)110."])
+    label = "a&b<c>d&amp;"
+    sc.segments = [replace(sc.segments[0], label=label)] + sc.segments[1:]
+    svg = render_scene(sc)
+    assert f">{escape(label)}</text>" in svg
+    assert ">a&amp;b&lt;c&gt;d&amp;amp;</text>" in svg
+
+
+def test_import_loads_no_network_or_mail_modules():
+    code = ("import sys, tentplane; "
+            "print([m for m in ('urllib.request', 'http.client', 'email.parser') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == "[]\n"
+
+
+def test_cli_parser_built_once(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_dispatch", lambda args: seen.append(args) or 0)
+    cli._build_parser.cache_clear()
+    argv = ["probe", "--nu", "(101)", "--L", "(1).", "--depth", "3"]
+    assert main(argv + ["--no-strict", "--x", "0.5"]) == 0
+    assert main(argv) == 0
+    assert cli._build_parser.cache_info().misses == 1
+    # each call fills a fresh namespace: no value of the first call leaks
+    assert (seen[0].strict, seen[0].x) == (False, 0.5)
+    assert (seen[1].strict, seen[1].x) == (True, None)
+    assert seen[0] is not seen[1]
+
+
 def test_cli_render(tmp_path):
     code, out = run("render", "--nu", "(101)", "--L", "(101).", "--depth", "3")
     assert code == 0 and out.startswith("<svg")
@@ -287,6 +342,10 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
                             f'"x_mode": "rank", "validated_depth": {10**400}}}'),
         "trusted30.json": ("scene", '{"nu": "10011001(0)", "L": "(1).", "depth": 3, '
                            f'"x_mode": "rank", "validated_depth": {10**30}}}'),
+        # a value layout whose slope is no tent map of the family
+        "slope5.json": ("scene", '{"nu": "(101)", "L": "(101).", "x_mode": "value", "slope": 5.0, '
+                        '"segments": [{"tail": "(011)010."}, {"tail": "(011)110."}, '
+                        '{"tail": "(101)."}]}'),
     }
     for name, (kind, text) in cases.items():
         path = tmp_path / name
@@ -294,6 +353,9 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
         assert main(["verify", f"--{kind}", str(path)]) == 2, name
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+    for cmd in ("glue", "render"):
+        assert main([cmd, "--scene", str(tmp_path / "slope5.json")]) == 2, cmd
+        assert capsys.readouterr().err == "error: slope must be in (1, 2], got 5.0\n"
     # a negative stage count, as a flag and from a config
     neg = tmp_path / "neg.cfg"
     neg.write_text("nu=(101)\nL=(101).\ndepth=4\nglue_stages=-1\n")
