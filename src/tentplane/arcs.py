@@ -19,11 +19,12 @@ progressions, which is detected exactly.
 Joined pairs: two tails that differ in exactly one slot -m and whose
 shared last m-1 symbols equal the head of nu bound a gap at level m; the
 bulge side is right when that shared word has an even ones-count.  They
-are found by flip and lookup: for each item, every k in ``head_matches``
+are found by flip and lookup: for each item, every k in the head matches
 of a window reaching the partner's slot names a candidate level k+1, and
 flipping slot -(k+1) from 0 to 1 gives the only possible partner, kept
 when it is in the pool.  Tails and cylinder words share that finder; each
-caller passes its own window and flip.
+caller passes every item with its window and that window's matches, as
+the scan that admitted the item found them, and its own flip.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import lcm
 
 from .errors import AmbiguousAtDepth, MalformedSequence
@@ -64,12 +66,13 @@ def tail_matches(tail: LeftTail, nu: KneadingSequence) -> list:
     return head_matches(tail.window(match_window(tail, nu)), nu)
 
 
-def _match_data(tail: LeftTail, nu: KneadingSequence, ks: list):
-    """Representative matches up to the detection bound, their parity
-    classes, and the set of parity classes with infinitely many matches.
+def _landing(tail: LeftTail, nu: KneadingSequence, ks: list):
+    """Landing indices ``(tau_l, tau_r)`` from the tail's matches ``ks``
+    (``tail_matches``, or as the tail's admissibility scan found them),
+    followed by the even-class matches and the odd-class matches above 1.
 
-    ``ks`` is ``tail_matches(tail, nu)``; ``build_scene`` reads it off
-    the tail's admissibility scan (``kneading.tail_scan``) instead.
+    tau_r is the largest even match, tau_l the largest odd one (None when
+    there is none); either is TAU_INF when its class matches forever.
     """
     t0, step = _joint(tail, nu)
     ms = [k + 1 for k in ks]
@@ -87,20 +90,8 @@ def _match_data(tail: LeftTail, nu: KneadingSequence, ks: list):
                     inf |= {0, 1}
                 else:
                     inf.add(pclass[n])
-    return ms, pclass, inf
-
-
-def _landing(tail: LeftTail, nu: KneadingSequence, ks: list):
-    """Landing indices ``(tau_l, tau_r)`` from the tail's matches ``ks``
-    (as in ``_match_data``), followed by the even-class matches and the
-    odd-class matches above 1.
-
-    tau_r is the largest even match, tau_l the largest odd one (None when
-    there is none); either is TAU_INF when its class matches forever.
-    """
-    ms, pc, inf = _match_data(tail, nu, ks)
-    ev = [n for n in ms if pc[n] == 0]
-    od = [n for n in ms if pc[n] == 1 and n > 1]
+    ev = [n for n in ms if pclass[n] == 0]
+    od = [n for n in ms if pclass[n] == 1 and n > 1]
     tr = TAU_INF if 0 in inf else max(ev)
     tl = TAU_INF if 1 in inf else (max(od) if od else None)
     return tl, tr, ev, od
@@ -141,30 +132,22 @@ def arc_projection(tail: LeftTail, nu: KneadingSequence) -> Projection:
 
 
 def landing_projection(tail: LeftTail, nu: KneadingSequence, ks: list) -> Projection:
-    """``arc_projection`` from the tail's matches ``ks`` (as in
-    ``_match_data``)."""
+    """``arc_projection`` from the tail's matches ``ks`` (as in ``_landing``)."""
     tl, tr, ev, od = _landing(tail, nu, ks)
-    hi = ev[0]
-    for n in ev[1:]:
-        if _orbit_cmp_merge(n, hi, nu) is Order.LESS:
-            hi = n
-    if od:
-        lo = od[0]
-        for n in od[1:]:
-            if _orbit_cmp_merge(n, lo, nu) is Order.GREATER:
-                lo = n
-    else:
-        lo = 2
+    # min and max keep the first of points the merge calls equal
+    x = cmp_to_key(lambda i, j: _orbit_cmp_merge(i, j, nu))
+    hi = min(ev, key=x)
+    lo = max(od, key=x) if od else 2
     deg = _orbit_cmp_merge(lo, hi, nu) is Order.EQUAL
     return Projection(lo, hi, tl, tr, deg)
 
 
-def window_projection(word: str, nu: KneadingSequence) -> Projection:
-    """Projection from a finite window alone: the landing indices are the
-    highest levels whose match is certified and whose cut point can be
-    placed (a truncated nu cannot order the index validated_depth + 1)."""
+def window_projection(ks: list, nu: KneadingSequence) -> Projection:
+    """Projection of a window from its ``head_matches`` ``ks``: the landing
+    indices are the highest certified levels whose cut point can be placed
+    (a truncated nu cannot order the index validated_depth + 1)."""
     tl, tr = None, 1
-    for k in head_matches(word, nu):
+    for k in ks:
         if 0 < k < nu.validated_depth:
             if parity(nu.expand(k)) == 0:
                 tr = k + 1
@@ -259,18 +242,24 @@ class Join:
     high: LeftTail
 
 
-def _flip_joins(items, nu: KneadingSequence, window, flip) -> list:
-    """Joins among the items, each with its slot-0 side as ``low``.
+def join_reach(tails) -> int:
+    """Window length that reaches every join partner among the tails: a
+    partner at slot -m past a tail's transient has a transient of m."""
+    return max((len(t.transient) for t in tails), default=0)
 
-    ``window(a)`` is the word whose suffix matches are tried and must
-    reach every partner's slot; ``flip(a, m)`` is ``a`` with slot -m
-    raised from 0 to 1.  A partner listed n times gives n joins.
+
+def _flip_joins(arcs, nu: KneadingSequence, flip) -> list:
+    """Joins among the items of ``(item, window, matches)`` triples, each
+    with its slot-0 side as ``low``.
+
+    The window must reach every partner's slot, and the matches are its
+    ``head_matches``; ``flip(a, m)`` is ``a`` with slot -m raised from 0
+    to 1.  A partner listed n times gives n joins.
     """
-    pool = Counter(items)
+    pool = Counter(a for a, _, _ in arcs)
     out = []
-    for a in items:
-        w = window(a)
-        for k in head_matches(w, nu):
+    for a, w, ks in arcs:
+        for k in ks:
             i = len(w) - 1 - k  # slot -(k+1), just before the matched suffix
             if i < 0 or w[i] == "1":
                 continue  # handle each unordered pair once, from its 0 side
@@ -288,11 +277,10 @@ def boundary_pairs(tails, nu: KneadingSequence, check_tau: bool = False) -> list
     for both tails.
     """
     ts = list(tails)
-    # a partner at slot -m beyond a tail's transient has a transient of
-    # exactly m symbols, so the longest transient reaches every partner
-    reach = max((len(t.transient) for t in ts), default=0)
+    reach = join_reach(ts)
+    arcs = [(t, w, head_matches(w, nu)) for t in ts for w in (t.window(reach),)]
     out = []
-    for j in _flip_joins(ts, nu, lambda t: t.window(reach), flip_at):
+    for j in _flip_joins(arcs, nu, flip_at):
         if check_tau:
             k = 1 if j.side == "right" else 0
             if any(_landing(t, nu, tail_matches(t, nu))[k] != j.level for t in (j.low, j.high)):

@@ -57,4 +57,4 @@ class ParseError(TentplaneError):
 
 
 class ConflictError(TentplaneError):
-    """Mutually exclusive config keys were both given."""
+    """Inputs that contradict each other: exclusive config keys, a slope and a nu."""

@@ -16,7 +16,10 @@ its suffixes that still equal a head of ``nu`` and of ``shift(nu)``; a
 suffix is decided at its first differing symbol, which keeps it inside
 the bounds or flags the word, and is dropped undecided once it has
 matched the whole scanned head.  Admissibility, cylinder growth, landing
-matches (``head_matches``) and one-slot joins all read that state.
+matches and one-slot joins all read that state.  The lengths still live
+on nu's head after a word are its ``head_matches``; the scan that admits
+the word (``scan_cylinders``, ``tail_scan``) hands them over, so no word
+is scanned twice.
 
 Window.  A left tail with transient length T and period length P has
 every factor of length at most D inside its last T + P + D symbols: a
@@ -348,8 +351,10 @@ def is_admissible_tail(tail: LeftTail, nu: KneadingSequence, depth: Optional[int
     return tail_scan(tail, nu, 0, depth)[0]
 
 
-def enumerate_cylinders(nu: KneadingSequence, depth: int) -> list:
-    """All admissible {0,1} words of the given length, in signed-lex order."""
+def scan_cylinders(nu: KneadingSequence, depth: int) -> list:
+    """All admissible {0,1} words of the given length, in signed-lex order,
+    each paired with its ``head_matches``, read off the word's final scan
+    state (the scan depth is the word length, as there)."""
     if not 1 <= depth <= sys.maxsize:
         raise MalformedSequence(f"depth must lie in 1..{sys.maxsize}, got {depth}")
     scan = HeadScan(nu, depth)
@@ -363,4 +368,10 @@ def enumerate_cylinders(nu: KneadingSequence, depth: int) -> list:
             for state in (scan.read(s, prev),)
             if not state[2]
         ]
-    return sorted((w for w, _ in level), key=plex_key)
+    level.sort(key=lambda e: plex_key(e[0]))
+    return [(w, _bits(up | 1)) for w, (up, _, _) in level]
+
+
+def enumerate_cylinders(nu: KneadingSequence, depth: int) -> list:
+    """All admissible {0,1} words of the given length, in signed-lex order."""
+    return [w for w, _ in scan_cylinders(nu, depth)]

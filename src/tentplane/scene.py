@@ -35,15 +35,16 @@ from typing import NamedTuple, Optional
 from .arcs import (
     Projection,
     _flip_joins,
-    boundary_pairs,
+    flip_at,
+    join_reach,
     landing_projection,
     match_window,
     resolve_x,
     window_projection,
 )
 from .cantor import CantorCoordinate, block_midpoint, cantor_coordinate
-from .errors import MalformedSequence, NotAdmissible, ParseError
-from .kneading import KneadingSequence, enumerate_cylinders, is_admissible_tail, tail_scan
+from .errors import ConflictError, MalformedSequence, NotAdmissible, ParseError
+from .kneading import KneadingSequence, is_admissible_tail, kneading_from_slope, scan_cylinders, tail_scan
 from .sequences import LeftTail, parse_left, parse_right
 
 # value-mode slack of both checkers; rank mode is exact
@@ -123,39 +124,36 @@ def build_scene(
     if slope is None:
         slope = nu.slope
 
+    # each arc is scanned once; its matches give its landing indices
+    # and its joins, found before x so the anchors take part in the layout
     entries = []  # (label, tail, word, y, projection)
+    arcs = []  # (tail or word, window, head matches of the window)
     if tails is not None:
-        seen = {}
+        labels = {}  # each distinct tail, with its first label
         for item in tails:
-            label = item if isinstance(item, str) else str(item)
             tail = parse_left(item) if isinstance(item, str) else item
-            if tail in seen:
-                continue
-            # the admissibility verdict and the landing matches, one pass
-            ok, ks = tail_scan(tail, nu, match_window(tail, nu))
+            labels.setdefault(tail, item if isinstance(item, str) else str(item))
+        reach = join_reach(labels)
+        for tail, label in labels.items():
+            n = match_window(tail, nu)
+            ok, ks = tail_scan(tail, nu, max(n, reach))
             if not ok:
                 raise NotAdmissible(f"tail {label} is not admissible")
-            seen[tail] = label
-            proj = landing_projection(tail, nu, ks)
+            proj = landing_projection(tail, nu, [k for k in ks if k <= n])
             entries.append((label, tail, None, cantor_coordinate(tail, context), proj))
+            arcs.append((tail, tail.window(reach), [k for k in ks if k <= reach]))
+        raw = _flip_joins(arcs, nu, flip_at)
         mode = "tails"
     else:
-        for w in enumerate_cylinders(nu, depth):
-            entries.append((w, None, w, block_midpoint(w, context), window_projection(w, nu)))
+        for w, ks in scan_cylinders(nu, depth):
+            entries.append((w, None, w, block_midpoint(w, context), window_projection(ks, nu)))
+            arcs.append((w, w, ks))
+        raw = _flip_joins(arcs, nu, _raise_slot)
         mode = "cylinders"
 
-    # join structure before x so the anchors take part in the x layout
-    if mode == "tails":
-        raw = boundary_pairs([e[1] for e in entries], nu)
-    else:
-        raw = _cylinder_pairs([e[2] for e in entries], nu)
-
-    indices = {2}
+    indices = {2, *(j.level for j in raw)}
     for e in entries:
-        indices.add(e[4].lo_index)
-        indices.add(e[4].hi_index)
-    for j in raw:
-        indices.add(j.level)
+        indices |= {e[4].lo_index, e[4].hi_index}
     xs = resolve_x(indices, nu, mode=x_mode, slope=slope)
 
     segments = []
@@ -165,9 +163,7 @@ def build_scene(
         )
     segments.sort(key=lambda s: s.y.value)
 
-    by_key = {}
-    for s in segments:
-        by_key[s.tail if s.tail is not None else s.word] = s
+    by_key = {s.tail if s.tail is not None else s.word: s for s in segments}
     joins = []
     for j in raw:
         lo, hi = by_key[j.low], by_key[j.high]
@@ -179,14 +175,10 @@ def build_scene(
     return Scene(nu, context, mode, x_mode, segments, joins, depth=depth, slope=slope)
 
 
-def _cylinder_pairs(words, nu: KneadingSequence) -> list:
-    """Joined pairs among equal-length windows; a word is its own window."""
-
-    def raise_slot(w: str, m: int) -> str:
-        i = len(w) - m
-        return w[:i] + "1" + w[i + 1 :]
-
-    return _flip_joins(words, nu, lambda w: w, raise_slot)
+def _raise_slot(w: str, m: int) -> str:
+    # a cylinder word with slot -m raised from 0 to 1: its join partner
+    i = len(w) - m
+    return w[:i] + "1" + w[i + 1 :]
 
 
 # ---------------------------------------------------------------- geometry
@@ -435,6 +427,16 @@ def scene_from_dict(data: dict) -> Scene:
         validated_depth=math.inf if trusted is None else float(trusted),
         slope=slope,
     )
+    if slope is not None:
+        # the slope's nu, cut where a truncated nu is, must agree with nu as
+        # far as both are validated; eventually periodic words that agree
+        # on the longer preperiod plus the lcm of the periods agree forever
+        own = kneading_from_slope(slope, max_iter=int(min(nu.validated_depth, 4096)))
+        a, b = nu.seq, own.seq
+        n = max(len(a.preperiod), len(b.preperiod)) + math.lcm(len(a.period), len(b.period))
+        n = int(min(nu.validated_depth, own.validated_depth, n))
+        if a.expand(n) != b.expand(n):
+            raise ConflictError(f"nu {a} is not the kneading sequence of slope {slope!r}")
     context = parse_left(_field(data, "L", str))
     x_mode = _field(data, "x_mode", str)
     depth = _field(data, "depth", (int, type(None)), None)

@@ -58,8 +58,6 @@ def render_scene(scene: Scene, *, portrait: bool = False) -> str:
     )
     for s in scene.segments:
         y = Y(float(s.y.value))
-        # as xml.sax.saxutils.escape, whose import loads urllib and email
-        label = s.label.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
         parts.append(
             f'<line x1="{_f(X(float(s.x_lo)))}" y1="{_f(y)}" x2="{_f(X(float(s.x_hi)))}" '
             f'y2="{_f(y)}" stroke="#000000" stroke-width="1.5"/>'

@@ -26,15 +26,19 @@ from tentplane import (
 from tentplane.arcs import (
     TAU_INF,
     Join,
+    Projection,
+    _joint,
     _landing,
+    _orbit_cmp_merge,
     flip_at,
+    landing_projection,
     orbit_compare,
     side_of_level,
     tail_matches,
     window_projection,
 )
 from tentplane.kneading import head_matches
-from tentplane.sequences import Order, compare_right, plex_compare, tails_equal_horizon
+from tentplane.sequences import Order, compare_right, parity, plex_compare, tails_equal_horizon
 
 GOLD = kneading_from_slope((1 + math.sqrt(5)) / 2)
 FULL = kneading_from_slope(2.0)
@@ -93,14 +97,14 @@ def test_window_agrees_with_tail(text):
 
     t = parse_left(text)
     full = arc_projection(t, GOLD)
-    win = window_projection(t.window(12), GOLD)
+    win = window_projection(head_matches(t.window(12), GOLD), GOLD)
     assert same(win.lo_index, full.lo_index)
     assert same(win.hi_index, full.hi_index)
 
 
 def test_window_taus_frozen():
     def taus(word, nu):
-        p = window_projection(word, nu)
+        p = window_projection(head_matches(word, nu), nu)
         return p.tau_l, p.tau_r
 
     assert taus("11010", GOLD) == (3, 1)
@@ -109,7 +113,7 @@ def test_window_taus_frozen():
     w = figure_tails()[0].window(12)
     # cap sits at the trusted depth, not at the window length
     assert taus(w, fig) == (2, 1)
-    p = window_projection("11010", GOLD)
+    p = window_projection(head_matches("11010", GOLD), GOLD)
     assert (p.lo_index, p.hi_index, p.tau_l, p.tau_r, p.degenerate) == (3, 1, 3, 1, False)
 
 
@@ -370,3 +374,97 @@ def test_boundary_pairs_agree_with_reference():
         joins += len(got)
     # the pools are rich in joins, not a vacuous agreement
     assert joins > 2000
+
+
+# ------------------------------------------------ landing-index references
+# the bodies that read a tail's matches before the match set was handed
+# over by the scan that admits the arc
+
+
+def ref_match_data(tail, nu, ks):
+    t0, step = _joint(tail, nu)
+    ms = [k + 1 for k in ks]
+    pclass = {n: parity(nu.expand(n - 1)) for n in ms}
+    inf = set()
+    if nu.exact:
+        mset = set(ms)
+        blk = nu.seq.expand(len(nu.seq.preperiod) + step)[len(nu.seq.preperiod) :]
+        delta = parity(blk)
+        for n in ms:
+            if n > t0 and n + step in mset:
+                if delta:
+                    inf |= {0, 1}
+                else:
+                    inf.add(pclass[n])
+    return ms, pclass, inf
+
+
+def ref_landing(tail, nu, ks):
+    ms, pc, inf = ref_match_data(tail, nu, ks)
+    ev = [n for n in ms if pc[n] == 0]
+    od = [n for n in ms if pc[n] == 1 and n > 1]
+    tr = TAU_INF if 0 in inf else max(ev)
+    tl = TAU_INF if 1 in inf else (max(od) if od else None)
+    return tl, tr, ev, od
+
+
+def ref_landing_projection(tail, nu, ks):
+    tl, tr, ev, od = ref_landing(tail, nu, ks)
+    hi = ev[0]
+    for n in ev[1:]:
+        if _orbit_cmp_merge(n, hi, nu) is Order.LESS:
+            hi = n
+    if od:
+        lo = od[0]
+        for n in od[1:]:
+            if _orbit_cmp_merge(n, lo, nu) is Order.GREATER:
+                lo = n
+    else:
+        lo = 2
+    deg = _orbit_cmp_merge(lo, hi, nu) is Order.EQUAL
+    return Projection(lo, hi, tl, tr, deg)
+
+
+def ref_window_projection(word, nu):
+    """window_projection when it scanned the word itself."""
+    tl, tr = None, 1
+    for k in head_matches(word, nu):
+        if 0 < k < nu.validated_depth:
+            if parity(nu.expand(k)) == 0:
+                tr = k + 1
+            else:
+                tl = k + 1
+    lo = tl if tl is not None else 2
+    deg = _orbit_cmp_merge(lo, tr, nu) is Order.EQUAL
+    return Projection(lo, tr, tl, tr, deg)
+
+
+def oracle_pool_nus(rng):
+    """The nus of test_boundary_pairs_agree_with_reference, slopes cut at
+    64 symbols, and nus validated past their stored word, where periodic
+    tails match deeper than their match window."""
+    exact = [GOLD, FULL, SQ2] + [KneadingSequence(parse_right(t)) for t in ("(1001)", "100(1)")]
+    cut = [kneading_from_slope.__wrapped__(s, max_iter=64) for s in (1.62, 1.77, 1.85, 1.93)]
+    past = [KneadingSequence(parse_right(t), validated_depth=float(d)) for t, d in (("(101)", 20), ("(1001)", 30))]
+    return exact + cut + past + [random_kneading(rng, rng.randint(6, 14)) for _ in range(6)] + [figure_nu()]
+
+
+def test_landing_projection_agrees_with_reference():
+    rng = random.Random(41)
+    nus = oracle_pool_nus(rng)
+    shapes = set()
+    for n in range(600):
+        nu = nus[n % len(nus)]
+        for t in _oracle_pool(rng, nu):
+            ks = tail_matches(t, nu)
+            assert _landing(t, nu, ks) == ref_landing(t, nu, ks), (str(t), str(nu))
+            got = _outcome(landing_projection, t, nu, ks)
+            assert got == _outcome(ref_landing_projection, t, nu, ks), (str(t), str(nu))
+            ev, od = ref_landing(t, nu, ks)[2:]
+            shapes.add((nu.exact, len(ev) > 1, len(od) > 1,
+                        got[0] if isinstance(got, tuple) else got.degenerate))
+    # min and max choose among several candidates on each side, exact or
+    # cut, and a cut nu gives degenerate and undecidable extents
+    assert {(e, True) for e in (True, False)} <= {(s[0], s[2]) for s in shapes}
+    assert {(e, True) for e in (True, False)} <= {(s[0], s[1]) for s in shapes}
+    assert {True, "ambiguous"} <= {s[3] for s in shapes if not s[0]}

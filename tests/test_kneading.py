@@ -22,8 +22,7 @@ from tentplane import (
     parse_right,
     validate_kneading,
 )
-from tentplane.arcs import Join, side_of_level
-from tentplane.arcs import match_window
+from tentplane.arcs import Join, _flip_joins, match_window, side_of_level
 from tentplane.kneading import (
     _ORBIT_EPS,
     RANK,
@@ -34,10 +33,11 @@ from tentplane.kneading import (
     head_matches,
     kneading_from_text,
     modify_star,
+    scan_cylinders,
     tail_scan,
     tent,
 )
-from tentplane.scene import _cylinder_pairs
+from tentplane.scene import _raise_slot
 from tentplane.sequences import LeftTail, Order, compare_right, plex_compare, plex_key
 
 from conftest import GOLDEN, figure_nu, figure_tails, random_kneading, random_tail
@@ -425,11 +425,13 @@ def _oracle_nus():
 def test_scan_agrees_with_reference_rules(nu):
     rng = random.Random(str(nu))
     for d in range(1, 11):
-        words = enumerate_cylinders(nu, d)
-        assert words == ref_cylinders(nu, d), d
+        scanned = scan_cylinders(nu, d)
+        words = [w for w, _ in scanned]
+        assert words == enumerate_cylinders(nu, d) == ref_cylinders(nu, d), d
         # the scan finds a word's pairs shallow to deep, the reference deep
         # to shallow; scenes sort joins, so only the set is pinned
-        pairs, ref = _cylinder_pairs(words, nu), ref_cylinder_pairs(words, nu)
+        pairs = _flip_joins([(w, w, ks) for w, ks in scanned], nu, _raise_slot)
+        ref = ref_cylinder_pairs(words, nu)
         assert len(pairs) == len(ref) and set(pairs) == set(ref), d
         # nu cut at depth d: cylinders deeper than it is trusted, and words
         # up to twice as long, whose matches must stop at the cut
@@ -448,6 +450,23 @@ def test_scan_agrees_with_reference_rules(nu):
         for depth in (None, 3, 7):
             assert is_admissible_tail(tail, nu, depth) == ref_admissible_tail(tail, nu, depth), (
                 str(tail), depth)
+
+
+def test_scan_cylinders_hands_over_head_matches():
+    # the match set read off each word's final scan state is the one a
+    # fresh scan of the word finds, for nu and for nu cut one symbol
+    # short of the words, where matches stop at the cut (cut at the word
+    # length, the scan would be nu's own)
+    sizes = set()
+    for nu in _oracle_nus():
+        for d in range(1, 13):
+            cut = KneadingSequence(nu.seq, validated_depth=float(min(max(d - 1, 1), nu.validated_depth)))
+            for k in (nu, cut):
+                got = scan_cylinders(k, d)
+                assert got == [(w, head_matches(w, k)) for w, _ in got], (str(k), d)
+                sizes.add(max(len(ks) for _, ks in got))
+    # words matching nu at several lengths, not only the empty match
+    assert max(sizes) >= 6
 
 
 def ref_scan_masks(nu, depth):

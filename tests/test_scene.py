@@ -2,33 +2,44 @@
 import dataclasses
 import json
 from bisect import bisect_left, bisect_right
+from collections import Counter
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import figure_nu, figure_tails, figure_labels, random_tail
+from conftest import figure_nu, figure_tails, figure_labels, random_kneading, random_tail
+from test_arcs import _oracle_pool, oracle_pool_nus, ref_landing_projection, ref_window_projection
 
 from tentplane import (
     AmbiguousAtDepth,
     KneadingSequence,
+    LeftTail,
     MalformedSequence,
     NotAdmissible,
     ParseError,
     RightSeq,
     SceneJoin,
+    TentplaneError,
     betweenness_check,
+    block_midpoint,
     build_scene,
+    cantor_coordinate,
+    enumerate_cylinders,
+    is_admissible_tail,
     kneading_from_slope,
     parse_left,
+    resolve_x,
     scene_from_json,
     scene_to_json,
     verify_noncrossing,
 )
+from tentplane.arcs import Join, flip_at, match_window, side_of_level
 from tentplane.cantor import CantorCoordinate
-from tentplane.kneading import kneading_from_text
-from tentplane.scene import scene_to_dict
+from tentplane.cli import main
+from tentplane.kneading import head_matches, kneading_from_text, tail_scan
+from tentplane.scene import Scene, Segment, scene_to_dict
 
 GOLD = kneading_from_slope((1 + math.sqrt(5)) / 2)
 TRUNCATED_NU = KneadingSequence(RightSeq("10111101110101", "0"), validated_depth=14.0)
@@ -380,3 +391,187 @@ def test_checkers_agree_with_reference():
         if name == "truncated nu":
             assert len(got + between) == 52
     assert kinds == {"segment-join", "join-join", "foreign-symbols", "x-overreach"}
+
+
+# ------------------------------------------------ build_scene reference
+# build_scene before each arc was scanned once: the landing indices, the
+# window projections and the joins each rescanned the arc's word
+
+
+def ref_flip_joins(items, nu, window, flip):
+    pool = Counter(items)
+    out = []
+    for a in items:
+        w = window(a)
+        for k in head_matches(w, nu):
+            i = len(w) - 1 - k
+            if i < 0 or w[i] == "1":
+                continue
+            b = flip(a, k + 1)
+            out += [Join(k + 1, side_of_level(nu, k + 1), a, b)] * pool[b]
+    return out
+
+
+def ref_build_scene(nu, context, *, tails=None, depth=None, x_mode="rank", slope=None):
+    if isinstance(context, str):
+        context = parse_left(context)
+    if (tails is None) == (depth is None):
+        raise MalformedSequence("give either tails or depth, not both")
+    if not is_admissible_tail(context, nu):
+        raise NotAdmissible(f"context {context} is not admissible")
+    if slope is None:
+        slope = nu.slope
+    entries = []
+    if tails is not None:
+        seen = {}
+        for item in tails:
+            label = item if isinstance(item, str) else str(item)
+            tail = parse_left(item) if isinstance(item, str) else item
+            if tail in seen:
+                continue
+            ok, ks = tail_scan(tail, nu, match_window(tail, nu))
+            if not ok:
+                raise NotAdmissible(f"tail {label} is not admissible")
+            seen[tail] = label
+            proj = ref_landing_projection(tail, nu, ks)
+            entries.append((label, tail, None, cantor_coordinate(tail, context), proj))
+        mode = "tails"
+        # boundary_pairs: joins ordered by notation
+        ts = [e[1] for e in entries]
+        reach = max((len(t.transient) for t in ts), default=0)
+        raw = [Join(j.level, j.side, *sorted((j.low, j.high), key=str))
+               for j in ref_flip_joins(ts, nu, lambda t: t.window(reach), flip_at)]
+        raw.sort(key=lambda j: (j.level, str(j.low)))
+    else:
+        for w in enumerate_cylinders(nu, depth):
+            entries.append((w, None, w, block_midpoint(w, context), ref_window_projection(w, nu)))
+        mode = "cylinders"
+        raw = ref_flip_joins([e[2] for e in entries], nu, lambda w: w,
+                             lambda w, m: w[: len(w) - m] + "1" + w[len(w) - m + 1 :])
+    indices = {2}
+    for e in entries:
+        indices.add(e[4].lo_index)
+        indices.add(e[4].hi_index)
+    for j in raw:
+        indices.add(j.level)
+    xs = resolve_x(indices, nu, mode=x_mode, slope=slope)
+    segments = []
+    for label, tail, word, y, proj in entries:
+        segments.append(Segment(label, y, proj, xs[proj.lo_index], xs[proj.hi_index], tail=tail, word=word))
+    segments.sort(key=lambda s: s.y.value)
+    by_key = {}
+    for s in segments:
+        by_key[s.tail if s.tail is not None else s.word] = s
+    joins = []
+    for j in raw:
+        lo, hi = by_key[j.low], by_key[j.high]
+        if lo.y.value > hi.y.value:
+            lo, hi = hi, lo
+        joins.append(SceneJoin(j.level, j.side, lo, hi, xs[j.level]))
+    joins.sort(key=lambda j: (j.level, str(j.low.label)))
+    return Scene(nu, context, mode, x_mode, segments, joins, depth=depth, slope=slope)
+
+
+def _built(build, *args, **kwargs):
+    """A scene's file form and its projections, or the error it raised."""
+    try:
+        sc = build(*args, **kwargs)
+    except TentplaneError as e:
+        return type(e), str(e)
+    return scene_to_dict(sc), [s.projection for s in sc.segments]
+
+
+def _agree(*args, **kwargs):
+    got = _built(build_scene, *args, **kwargs)
+    assert got == _built(ref_build_scene, *args, **kwargs), (args, kwargs)
+    return got
+
+
+def test_cylinder_scenes_agree_with_reference():
+    # the C4 sweep's nus, contexts and depths, and under each nu's first
+    # context every depth in between
+    rng = random.Random(2026)
+    nus = [kneading_from_slope(2.0), GOLD, kneading_from_slope(math.sqrt(2))]
+    seen = {str(n) for n in nus}
+    while len(nus) < 23:
+        n = random_kneading(rng, length=10)
+        if str(n) not in seen:
+            seen.add(str(n))
+            nus.append(n)
+    joins = 0
+    for nu in nus:
+        ctxs, used = [], set()
+        while len(ctxs) < 5:
+            L = random_tail(rng, nu)
+            if str(L) not in used:
+                used.add(str(L))
+                ctxs.append(L)
+        dmax = 3
+        for d in range(4, 11):
+            if len(enumerate_cylinders(nu, d)) > 200:
+                break
+            dmax = d
+        for i, L in enumerate(ctxs):
+            for d in range(3, dmax + 1) if i == 0 else sorted({3, dmax}):
+                got = _agree(nu, L, depth=d)
+                joins += len(got[0]["joins"])
+    assert joins > 5_000
+
+
+def test_tail_scenes_agree_with_reference():
+    tails = figure_tails()
+    for ctx in ("(1).", tails[5]):
+        assert len(_agree(figure_nu(), ctx, tails=tails)[0]["joins"]) == 11
+    # (011). matches nu up to 19 symbols, past its match window of 7 and
+    # the longest transient: the landing reads its matches up to 7 only
+    past = KneadingSequence(RightSeq("", "101"), validated_depth=20.0)
+    rows, projections = _agree(past, "(101).", tails=["(011).", "(101).", "(1)0101101101."])
+    assert {r["tail"]: p.tau_l for r, p in zip(rows["segments"], projections)}["(011)."] == 8
+    rng = random.Random(43)
+    nus = oracle_pool_nus(rng)
+    kinds = Counter()
+    for n in range(250):
+        nu = nus[n % len(nus)]
+        pool = _oracle_pool(rng, nu)
+        # tails as typed, some spelled with a doubled period
+        items = [str(t) if rng.random() < 0.5 else t for t in pool]
+        items += [f"({t.period * 2}){t.transient}." for t in rng.sample(pool, min(2, len(pool)))]
+        if n % 7 == 0:
+            items.insert(rng.randrange(len(items) + 1), LeftTail("1" * rng.randint(2, 3), "0"))
+        context = random_tail(rng, nu)
+        for x_mode in ("rank", "value"):
+            got = _agree(nu, context, tails=items, x_mode=x_mode)
+            kinds[got[0] if isinstance(got[0], type) else ("joins", x_mode, bool(got[0]["joins"]))] += 1
+    # scenes with and without joins in both modes, and every error kind
+    assert {("joins", m, j) for m in ("rank", "value") for j in (True, False)} <= set(kinds)
+    assert {NotAdmissible, AmbiguousAtDepth, MalformedSequence} <= set(kinds)
+
+
+def test_malformed_tail_reported_before_inadmissible_one(tmp_path):
+    # every tail is parsed before any is scanned
+    tails = ["(011)010.", "(100).", "(10"]
+    with pytest.raises(MalformedSequence, match=r"^not a left tail: '\(10'$"):
+        build_scene(GOLD, "(101).", tails=tails)
+    with pytest.raises(NotAdmissible, match=r"^tail \(100\)\. is not admissible$"):
+        ref_build_scene(GOLD, "(101).", tails=tails)
+    path = tmp_path / "scene.json"
+    data = {"nu": "(101)", "L": "(101).", "x_mode": "rank", "segments": [{"tail": t} for t in tails]}
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--scene", str(path)]) == 2
+
+
+def test_build_scene_never_rescans_a_word(monkeypatch):
+    def rescan(word, nu):
+        raise AssertionError(f"rescanned {word}")
+
+    rng = random.Random(5)
+    value_nu = kneading_from_slope(1.9, max_iter=512)
+    pool = [t for _ in range(3) for t in _oracle_pool(rng, value_nu) if is_admissible_tail(t, value_nu)]
+    monkeypatch.setattr("tentplane.arcs.head_matches", rescan)
+    monkeypatch.setattr("tentplane.kneading.head_matches", rescan)
+    scenes = [
+        build_scene(GOLD, "(101).", depth=8),
+        build_scene(figure_nu(), "(1).", tails=figure_tails()),
+        build_scene(value_nu, random_tail(rng, value_nu), tails=pool, x_mode="value"),
+    ]
+    assert all(sc.joins for sc in scenes)

@@ -11,7 +11,16 @@ from xml.sax.saxutils import escape
 
 from conftest import figure_nu, figure_tails
 
-from tentplane import RightSeq, build_scene, cli, kneading_from_slope, parse_left
+from tentplane import (
+    KneadingSequence,
+    RightSeq,
+    build_scene,
+    cli,
+    kneading_from_slope,
+    parse_left,
+    scene_from_json,
+    scene_to_json,
+)
 from tentplane.cli import main, parse_config
 from tentplane.errors import ConflictError, NotAdmissible, ParseError
 from tentplane.svg import render_scene
@@ -209,12 +218,42 @@ def test_cli_verify_scene_file_trusted_far_past_its_word(tmp_path, monkeypatch):
         return expand(self, n)
 
     monkeypatch.setattr(RightSeq, "expand", bounded)
-    path = _written_scene(tmp_path, "--nu", "(101)", "--L", "(1).", "--depth", "6")
+    # the second file's slope is checked against its nu as well
+    for argv in (["--nu", "(101)", "--L", "(1).", "--depth", "6"],
+                 ["--slope", str((1 + math.sqrt(5)) / 2), "--L", "(101).",
+                  "--tails", "(011)010.", "(011)110.", "--x-mode", "value"]):
+        path = _written_scene(tmp_path, *argv)
+        data = json.loads(path.read_text())
+        for depth in (10**9, 10**15):
+            data["validated_depth"] = depth
+            path.write_text(json.dumps(data))
+            assert run("verify", "--scene", str(path)) == (0, "0 violation(s)\n"), (argv, depth)
+
+
+def test_cli_scene_file_slope_must_have_its_nu(tmp_path, capsys):
+    # slope 1.9 has kneading sequence 100011111101..., not (101)
+    sc = build_scene(KneadingSequence("(101)"), "(101).", tails=["(011)010.", "(011)110.", "(101)."],
+                     x_mode="value", slope=1.9)
+    path = tmp_path / "scene.json"
+    path.write_text(scene_to_json(sc))
+    with pytest.raises(ConflictError):
+        scene_from_json(path.read_text())
+    for cmd in ("verify", "glue", "render"):
+        assert main([cmd, "--scene", str(path)]) == 2, cmd
+        assert capsys.readouterr().err == "error: nu (101) is not the kneading sequence of slope 1.9\n"
+    # a cut nu is compared over its validated depth only: one cut
+    # shorter than its stored word, one whose word goes on arbitrarily
+    cut = kneading_from_slope.__wrapped__(1.9, max_iter=100)
     data = json.loads(path.read_text())
-    for depth in (10**9, 10**15):
-        data["validated_depth"] = depth
-        path.write_text(json.dumps(data))
-        assert run("verify", "--scene", str(path)) == (0, "0 violation(s)\n"), depth
+    for nu in (KneadingSequence(cut.seq, validated_depth=40.0),
+               KneadingSequence(RightSeq(cut.expand(100), "0"), validated_depth=100.0),
+               kneading_from_slope.__wrapped__(1.95, max_iter=40)):
+        data.update(nu=str(nu.seq), validated_depth=int(nu.validated_depth))
+        if nu.slope == 1.95:
+            with pytest.raises(ConflictError):
+                scene_from_json(json.dumps(data))
+        else:
+            assert scene_from_json(json.dumps(data)).nu.seq == nu.seq
 
 
 def test_render_escapes_labels_as_saxutils():
