@@ -36,7 +36,7 @@ from functools import cmp_to_key
 from math import lcm
 
 from .errors import AmbiguousAtDepth, MalformedSequence
-from .kneading import C, KneadingSequence, head_matches, tent
+from .kneading import C, KneadingSequence, tail_scan, tent
 from .sequences import (
     Comparison,
     LeftTail,
@@ -62,8 +62,9 @@ def match_window(tail: LeftTail, nu: KneadingSequence) -> int:
 
 
 def tail_matches(tail: LeftTail, nu: KneadingSequence) -> list:
-    """``head_matches`` of the tail's ``match_window``."""
-    return head_matches(tail.window(match_window(tail, nu)), nu)
+    """``head_matches`` of the tail's ``match_window``, from a
+    ``tail_scan`` that flags nothing."""
+    return tail_scan(tail, nu, match_window(tail, nu), 0)[1]
 
 
 def _landing(tail: LeftTail, nu: KneadingSequence, ks: list):
@@ -278,7 +279,7 @@ def boundary_pairs(tails, nu: KneadingSequence, check_tau: bool = False) -> list
     """
     ts = list(tails)
     reach = join_reach(ts)
-    arcs = [(t, w, head_matches(w, nu)) for t in ts for w in (t.window(reach),)]
+    arcs = [(t, t.window(reach), tail_scan(t, nu, reach, 0)[1]) for t in ts]
     out = []
     for j in _flip_joins(arcs, nu, flip_at):
         if check_tau:

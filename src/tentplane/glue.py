@@ -268,17 +268,27 @@ def in_carved_region(stack, i: int, point, slack: float = 0.0) -> bool:
 
 def scene_samples(scene: Scene):
     """Deterministic probe points on the drawn geometry."""
+    return _samples(_sample_floats(scene), len(scene.segments))
+
+
+def _sample_floats(scene: Scene) -> array:
+    # what scene_samples reads: y, x_lo and x_hi of each segment, then
+    # center, radius, x0 and the side's sign of each join
+    segs = ((s.y.value, s.x_lo, s.x_hi) for s in scene.segments)
+    joins = ((j.center, j.radius, j.x0, 1 if j.side == "right" else -1) for j in scene.joins)
+    return array("d", map(float, chain.from_iterable(chain(segs, joins))))
+
+
+def _samples(floats, n_segments: int) -> list:
     pts = []
-    for s in scene.segments:
-        y = float(s.y.value)
-        lo, hi = float(s.x_lo), float(s.x_hi)
+    split = 3 * n_segments
+    for i in range(0, split, 3):
+        y, lo, hi = floats[i : i + 3]
         for k in range(_SEGMENT_SAMPLES):
             f = k / (_SEGMENT_SAMPLES - 1)
             pts.append((lo + f * (hi - lo), y))
-    for j in scene.joins:
-        cy, r = float(j.center), float(j.radius)
-        x0 = float(j.x0)
-        sgn = 1 if j.side == "right" else -1
+    for i in range(split, len(floats), 4):
+        cy, r, x0, sgn = floats[i : i + 4]
         for u in _ARC_ANGLES:
             t = u * math.pi
             pts.append((x0 + sgn * r * math.cos(t), cy + r * math.sin(t)))
@@ -294,22 +304,21 @@ class _SamplePass(NamedTuple):
 def _sample_pass(stack, scene: Scene) -> _SamplePass:
     """The scene's samples, each with one stage path, shared by the
     sampled certificates.  Keyed by value, bit for bit: the regions, the
-    floats their stage maps read and the sample coordinates (-0.0 == 0.0
-    in Python, yet a stage map can tell them apart).  A scene mutated in
-    place or a replaced region therefore misses."""
+    floats their stage maps read and the floats ``scene_samples`` reads
+    (-0.0 == 0.0 in Python, yet a stage map can tell them apart).  A
+    scene mutated in place or a replaced region therefore misses."""
     regions = tuple(stack)
     floats = array(
         "d", chain.from_iterable((r.x0, r.eps, r.chart.center_y, *r.chart.radii) for r in regions)
     )
-    coords = array("d", chain.from_iterable(scene_samples(scene)))
-    return _sample_pass_by_value(regions, floats.tobytes(), coords.tobytes())
+    drawn = _sample_floats(scene)
+    return _sample_pass_by_value(regions, floats.tobytes(), drawn.tobytes(), len(scene.segments))
 
 
 @lru_cache(maxsize=1)
-def _sample_pass_by_value(regions: tuple, floats: bytes, coords: bytes) -> _SamplePass:
+def _sample_pass_by_value(regions: tuple, floats: bytes, drawn: bytes, n_segments: int) -> _SamplePass:
     # ``floats`` only keys the memo; the stage maps read the regions
-    flat = array("d", coords)
-    points = tuple(zip(flat[::2], flat[1::2]))
+    points = tuple(_samples(array("d", drawn), n_segments))
     paths = tuple(stage_path(regions, p) for p in points)
     return _SamplePass(points, paths, tuple(_hops(path) for path in paths))
 

@@ -39,7 +39,15 @@ before it, so lower bits evolve the same at any scan depth.
 ``tail_scan`` grows suffixes to the larger of the admissibility depth
 and the landing-match length, flags only suffixes shorter than the
 admissibility depth, and reads the landing matches from the final bits,
-cut at the match length: one pass gives both answers.
+cut at the match length: one pass gives both answers.  That pass reads
+the tail's window as a partial period, whole periods and the transient.
+The state after a symbol depends only on the state and the symbol
+before it (bits past the scan depth drop), and every whole block is the
+same period; so once one period leaves the whole state ``(up, down,
+bad)`` unchanged, every later period does, and the scan goes straight to
+the transient.  When nu's head follows the period for the whole depth
+the state can change up to the last period; the pass never reads more
+than the full window.
 """
 from __future__ import annotations
 
@@ -323,7 +331,9 @@ def tail_scan(tail: LeftTail, nu: KneadingSequence, match_len: int, depth: Optio
 
     Suffixes grow to the larger of the two depths over the longer of the
     two windows; only those shorter than the admissibility depth flag,
-    and the matches are the final bits up to the match length.
+    and the matches are the final bits up to the match length.  The
+    periods of the window stop at the first one that leaves the state
+    unchanged (see the module docstring).
     """
     if depth is None:
         depth = max(
@@ -333,8 +343,15 @@ def tail_scan(tail: LeftTail, nu: KneadingSequence, match_len: int, depth: Optio
         )
     scan = HeadScan(nu, max(depth, match_len), depth)
     adm, reach = min(depth, scan.depth), min(match_len, scan.depth)
-    win = tail.window(max(len(tail.transient) + len(tail.period) + adm, match_len))
-    up, _, bad = scan.read(win, scan.start)
+    per, tr = tail.period, tail.transient
+    # the window is a partial period, whole periods, then the transient
+    reps, part = divmod(max(len(tr) + len(per) + adm, match_len) - len(tr), len(per))
+    state = scan.read(per[len(per) - part :], scan.start)
+    for _ in range(reps):
+        prev, state = state, scan.read(per, state)
+        if state == prev:
+            break  # every later period repeats it
+    up, _, bad = scan.read(tr, state)
     return not bad, _bits((up | 1) & ((2 << reach) - 1))
 
 

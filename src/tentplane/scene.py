@@ -114,15 +114,21 @@ def build_scene(
     x_mode: str = "rank",
     slope=None,
 ) -> Scene:
-    """Assemble a scene from explicit tails or from all depth-n windows."""
+    """Assemble a scene from explicit tails or from all depth-n windows.
+
+    An explicit ``slope`` must have ``nu`` as its kneading sequence as far
+    as both are validated, else ConflictError.
+    """
     if isinstance(context, str):
         context = parse_left(context)
     if (tails is None) == (depth is None):
         raise MalformedSequence("give either tails or depth, not both")
-    if not is_admissible_tail(context, nu):
-        raise NotAdmissible(f"context {context} is not admissible")
     if slope is None:
         slope = nu.slope
+    else:
+        _check_slope(nu, slope)
+    if not is_admissible_tail(context, nu):
+        raise NotAdmissible(f"context {context} is not admissible")
 
     # each arc is scanned once; its matches give its landing indices
     # and its joins, found before x so the anchors take part in the layout
@@ -173,6 +179,18 @@ def build_scene(
     joins.sort(key=lambda j: (j.level, str(j.low.label)))
 
     return Scene(nu, context, mode, x_mode, segments, joins, depth=depth, slope=slope)
+
+
+def _check_slope(nu: KneadingSequence, slope) -> None:
+    # the slope's nu, cut where a truncated nu is, must agree with nu as
+    # far as both are validated; eventually periodic words that agree on
+    # the longer preperiod plus the lcm of the periods agree forever
+    own = kneading_from_slope(slope, max_iter=int(min(nu.validated_depth, 4096)))
+    a, b = nu.seq, own.seq
+    n = max(len(a.preperiod), len(b.preperiod)) + math.lcm(len(a.period), len(b.period))
+    n = int(min(nu.validated_depth, own.validated_depth, n))
+    if a.expand(n) != b.expand(n):
+        raise ConflictError(f"nu {a} is not the kneading sequence of slope {slope!r}")
 
 
 def _raise_slot(w: str, m: int) -> str:
@@ -427,16 +445,6 @@ def scene_from_dict(data: dict) -> Scene:
         validated_depth=math.inf if trusted is None else float(trusted),
         slope=slope,
     )
-    if slope is not None:
-        # the slope's nu, cut where a truncated nu is, must agree with nu as
-        # far as both are validated; eventually periodic words that agree
-        # on the longer preperiod plus the lcm of the periods agree forever
-        own = kneading_from_slope(slope, max_iter=int(min(nu.validated_depth, 4096)))
-        a, b = nu.seq, own.seq
-        n = max(len(a.preperiod), len(b.preperiod)) + math.lcm(len(a.period), len(b.period))
-        n = int(min(nu.validated_depth, own.validated_depth, n))
-        if a.expand(n) != b.expand(n):
-            raise ConflictError(f"nu {a} is not the kneading sequence of slope {slope!r}")
     context = parse_left(_field(data, "L", str))
     x_mode = _field(data, "x_mode", str)
     depth = _field(data, "depth", (int, type(None)), None)

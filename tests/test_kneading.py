@@ -22,13 +22,14 @@ from tentplane import (
     parse_right,
     validate_kneading,
 )
-from tentplane.arcs import Join, _flip_joins, match_window, side_of_level
+from tentplane.arcs import Join, _flip_joins, match_window, side_of_level, tail_matches
 from tentplane.kneading import (
     _ORBIT_EPS,
     RANK,
     SYMBOLS,
     C,
     HeadScan,
+    _bits,
     _scan_masks,
     head_matches,
     kneading_from_text,
@@ -529,8 +530,15 @@ def _scan_cases():
     symbols, and the random truncated words, each with random tails
     (admissible or not) and the tail repeating nu's period.  Short nus
     also get (1)., (0)., and (010). and (001)1., whose violations for
-    golden nu at depth 2 all start beyond their last T + D symbols."""
-    rng = random.Random(29)
+    golden nu at depth 2 all start beyond their last T + D symbols.
+    Random tails of periods 5 to 7 come from a stream of their own.
+
+    Last come nus whose head follows a tail's period for the whole
+    scanned depth, so no period repeats the scan state before the
+    transient: slope 2 1(0) with (0) tails (its shift is 0s), (10) cut
+    at 64 and 512 symbols with (10) tails, and 10000000(1), which (0)
+    tails follow below for 7 symbols and leave at the 8th."""
+    rng, wide = random.Random(29), random.Random(31)
     exact = [kneading_from_slope(s) for s in (2.0, GOLDEN, math.sqrt(2.0))]
     exact += [kneading_from_text(t) for t in ("(1)", "(10)", "(100)", "(1001)", "100(1)")]
     cut = [kneading_from_slope.__wrapped__(s, max_iter=n) for s in (1.62, 1.77, 1.85, 1.93) for n in (64, 512)]
@@ -546,7 +554,82 @@ def _scan_cases():
         if deep:
             # random tails rarely pass a long nu; add sampled admissible ones
             tails += [random_tail(rng, nu) for _ in range(4)]
+            tails += [random_tail(wide, nu, max_period=7) for _ in range(2)]
+        for _ in range(3):
+            per = "".join(wide.choice("01") for _ in range(wide.randint(5, 7)))
+            tails.append(LeftTail(per, "".join(wide.choice("01") for _ in range(wide.randint(0, 6)))))
         yield nu, tails, (None,) if deep else (None, 2, 3, 7)
+    zeros = [parse_left(t) for t in ("(0).", "(0)1.", "(0)10.", "(0)100.", "(0)11.")]
+    tens = [parse_left(t) for t in ("(10).", "(01).", "(10)0.", "(01)1.", "(10)00.", "(10)11.")]
+    yield kneading_from_text("1(0)"), zeros, (None, 2, 7, 40)
+    for n in (64, 512):
+        nu = KneadingSequence(RightSeq("10" * (n // 2), "0"), validated_depth=float(n))
+        yield nu, tens, (None, 2, 7, 40) if n < 100 else (None, 100)
+    yield kneading_from_text("10000000(1)"), zeros, (None, 7, 8, 9)
+
+
+def ref_tail_scan(tail, nu, match_len, depth=None):
+    """The body tail_scan had before it stopped at a repeated period: one
+    read over the whole window."""
+    if depth is None:
+        depth = max(8, len(tail.transient) + len(tail.period),
+                    len(nu.seq.preperiod) + 2 * len(nu.seq.period))
+    scan = HeadScan(nu, max(depth, match_len), depth)
+    adm, reach = min(depth, scan.depth), min(match_len, scan.depth)
+    win = tail.window(max(len(tail.transient) + len(tail.period) + adm, match_len))
+    up, _, bad = scan.read(win, scan.start)
+    return not bad, _bits((up | 1) & ((2 << reach) - 1))
+
+
+def _count_reads(monkeypatch) -> list:
+    # every word HeadScan.read is given from now on, in order
+    read, words = HeadScan.read, []
+
+    def counted(self, word, state):
+        words.append(word)
+        return read(self, word, state)
+
+    monkeypatch.setattr(HeadScan, "read", counted)
+    return words
+
+
+def test_tail_scan_agrees_with_full_window(monkeypatch):
+    words = _count_reads(monkeypatch)
+    shapes = set()
+    for nu, tails, depths in _scan_cases():
+        for tail in tails:
+            n = match_window(tail, nu)
+            for depth in depths:
+                d = depth if depth is not None else max(
+                    8, len(tail.transient) + len(tail.period), len(nu.seq.preperiod) + 2 * len(nu.seq.period))
+                window = len(tail.transient) + len(tail.period) + int(min(d, nu.validated_depth))
+                # match lengths inside and beyond the admissibility window
+                for m in (0, 1, n, window + 1, window + 2 * len(tail.period) + 3, 3 * window):
+                    words.clear()
+                    want = ref_tail_scan(tail, nu, m, depth)
+                    full = len(words.pop())
+                    got = tail_scan(tail, nu, m, depth)
+                    used = sum(map(len, words))
+                    assert got == want, (str(tail), str(nu), m, depth)
+                    assert full == max(window, m) and used <= full, (str(tail), str(nu), m, depth)
+                    shapes.add((want[0], used < full))
+    # admissible and not, each with a scan that stopped early and one
+    # that read the full window
+    assert shapes == {(a, s) for a in (True, False) for s in (True, False)}
+
+
+def test_tail_scan_stops_at_a_repeated_period(monkeypatch):
+    # nu of slope 1.83 cut at 512 symbols: the full admissibility window
+    # of (011)10. is 517 symbols, its match window 512
+    nu = kneading_from_slope.__wrapped__(1.83, max_iter=512)
+    tail = parse_left("(011)10.")
+    want = ref_tail_scan(tail, nu, match_window(tail, nu))
+    words = _count_reads(monkeypatch)
+    assert is_admissible_tail(tail, nu) == want[0]
+    assert sum(map(len, words)) < 64
+    words.clear()
+    assert tail_matches(tail, nu) == want[1]
+    assert sum(map(len, words)) < 64
 
 
 def test_tail_scan_agrees_with_reference():

@@ -231,11 +231,11 @@ def test_cli_verify_scene_file_trusted_far_past_its_word(tmp_path, monkeypatch):
 
 
 def test_cli_scene_file_slope_must_have_its_nu(tmp_path, capsys):
-    # slope 1.9 has kneading sequence 100011111101..., not (101)
-    sc = build_scene(KneadingSequence("(101)"), "(101).", tails=["(011)010.", "(011)110.", "(101)."],
-                     x_mode="value", slope=1.9)
+    # slope 1.9 has kneading sequence 100011111101..., not (101); a good
+    # golden (101) scene gets that slope in its file
+    sc = build_scene(GOLD, "(101).", tails=["(011)010.", "(011)110.", "(101)."], x_mode="value")
     path = tmp_path / "scene.json"
-    path.write_text(scene_to_json(sc))
+    path.write_text(json.dumps(dict(json.loads(scene_to_json(sc)), slope=1.9)))
     with pytest.raises(ConflictError):
         scene_from_json(path.read_text())
     for cmd in ("verify", "glue", "render"):
@@ -254,6 +254,15 @@ def test_cli_scene_file_slope_must_have_its_nu(tmp_path, capsys):
                 scene_from_json(json.dumps(data))
         else:
             assert scene_from_json(json.dumps(data)).nu.seq == nu.seq
+
+
+def test_build_scene_slope_must_have_its_nu():
+    tails = ["(011)010.", "(011)110.", "(101)."]
+    with pytest.raises(ConflictError, match=r"^nu \(101\) is not the kneading sequence of slope 1.9$"):
+        build_scene(KneadingSequence("(101)"), "(101).", tails=tails, x_mode="value", slope=1.9)
+    # the slope of nu itself, given or not, builds the same scene
+    given = build_scene(KneadingSequence("(101)"), "(101).", tails=tails, x_mode="value", slope=GOLD.slope)
+    assert scene_to_json(given) == scene_to_json(build_scene(GOLD, "(101).", tails=tails, x_mode="value"))
 
 
 def test_render_escapes_labels_as_saxutils():
