@@ -24,12 +24,13 @@ of a window reaching the partner's slot names a candidate level k+1, and
 flipping slot -(k+1) from 0 to 1 gives the only possible partner, kept
 when it is in the pool.  Tails and cylinder words share that finder; each
 caller passes every item with its window and that window's matches, as
-the scan that admitted the item found them, and its own flip.
+the scan that admitted the item found them, and its own flip.  For tails
+that is ``scan_tails``, the one pass that knows the tails' scan windows.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -61,16 +62,30 @@ def match_window(tail: LeftTail, nu: KneadingSequence) -> int:
     return int(min(t0 + 2 * step + 2, nu.validated_depth + 1)) - 1
 
 
-def tail_matches(tail: LeftTail, nu: KneadingSequence) -> list:
-    """``head_matches`` of the tail's ``match_window``, from a
-    ``tail_scan`` that flags nothing."""
-    return tail_scan(tail, nu, match_window(tail, nu), 0)[1]
+# one tail's pass: admissible as an arc, the head matches of its
+# match_window, and its join window with that window's head matches
+TailScan = namedtuple("TailScan", "admissible landing window joins")
+
+
+def scan_tails(tails, nu: KneadingSequence) -> dict:
+    """A ``TailScan`` per distinct tail, first seen first, from one
+    ``tail_scan`` to the longer of its match window and the reach: the
+    longest transient, as a partner at slot -m past a tail's transient
+    has a transient of m.  A tail holding ``*`` is not admissible."""
+    reach = max((len(t.transient) for t in tails), default=0)
+    out = {}
+    for t in dict.fromkeys(tails):
+        n = match_window(t, nu)
+        ok, ks = tail_scan(t, nu, max(n, reach))
+        out[t] = TailScan(ok and "*" not in str(t), [k for k in ks if k <= n],
+                          t.window(reach), [k for k in ks if k <= reach])
+    return out
 
 
 def _landing(tail: LeftTail, nu: KneadingSequence, ks: list):
-    """Landing indices ``(tau_l, tau_r)`` from the tail's matches ``ks``
-    (``tail_matches``, or as the tail's admissibility scan found them),
-    followed by the even-class matches and the odd-class matches above 1.
+    """Landing indices ``(tau_l, tau_r)`` from the tail's landing matches
+    ``ks`` (as ``scan_tails`` found them), followed by the even-class
+    matches and the odd-class matches above 1.
 
     tau_r is the largest even match, tau_l the largest odd one (None when
     there is none); either is TAU_INF when its class matches forever.
@@ -129,7 +144,7 @@ class Projection:
 
 
 def arc_projection(tail: LeftTail, nu: KneadingSequence) -> Projection:
-    return landing_projection(tail, nu, tail_matches(tail, nu))
+    return landing_projection(tail, nu, scan_tails([tail], nu)[tail].landing)
 
 
 def landing_projection(tail: LeftTail, nu: KneadingSequence, ks: list) -> Projection:
@@ -186,18 +201,15 @@ def resolve_x(indices, nu: KneadingSequence, mode: str = "rank", slope=None) -> 
         raise MalformedSequence(f"unknown x mode {mode!r}")
     groups: list = []
     for i in idx:
-        placed = False
         for gi, g in enumerate(groups):
             order = _orbit_cmp_merge(i, g[0], nu)
             if order is Order.EQUAL:
                 g.append(i)
-                placed = True
                 break
             if order is Order.LESS:
                 groups.insert(gi, [i])
-                placed = True
                 break
-        if not placed:
+        else:
             groups.append([i])
     count = len(groups)
     out = {}
@@ -243,12 +255,6 @@ class Join:
     high: LeftTail
 
 
-def join_reach(tails) -> int:
-    """Window length that reaches every join partner among the tails: a
-    partner at slot -m past a tail's transient has a transient of m."""
-    return max((len(t.transient) for t in tails), default=0)
-
-
 def _flip_joins(arcs, nu: KneadingSequence, flip) -> list:
     """Joins among the items of ``(item, window, matches)`` triples, each
     with its slot-0 side as ``low``.
@@ -278,13 +284,13 @@ def boundary_pairs(tails, nu: KneadingSequence, check_tau: bool = False) -> list
     for both tails.
     """
     ts = list(tails)
-    reach = join_reach(ts)
-    arcs = [(t, t.window(reach), tail_scan(t, nu, reach, 0)[1]) for t in ts]
+    scans = scan_tails(ts, nu)
+    arcs = [(t, scans[t].window, scans[t].joins) for t in ts]
     out = []
     for j in _flip_joins(arcs, nu, flip_at):
         if check_tau:
             k = 1 if j.side == "right" else 0
-            if any(_landing(t, nu, tail_matches(t, nu))[k] != j.level for t in (j.low, j.high)):
+            if any(_landing(t, nu, scans[t].landing)[k] != j.level for t in (j.low, j.high)):
                 continue
         if str(j.high) < str(j.low):
             j = Join(j.level, j.side, j.high, j.low)

@@ -28,7 +28,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, count
+from itertools import accumulate, chain, combinations, count
 from typing import NamedTuple, Optional
 
 from .errors import ChartOverflow, TentplaneError, WrongContext
@@ -387,27 +387,23 @@ def collapse_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
     for j in scene.joins:
         per_level.setdefault(j.level, []).append(j)
     bad = []
-    apexes = []
+    apexes: dict = {}  # per level, across regions
     for region in stack:
         sgn = 1 if region.side == "right" else -1
         for j in per_level[region.level]:
             r = float(j.radius)
             cy = region.chart.center_y
             apex = (region.x0 + sgn * r, cy)
-            apexes.append((region.level, apex))
+            apexes.setdefault(region.level, []).append(apex)
             for u in (-0.5, -0.3, 0.0, 0.3, 0.5):
                 t = u * math.pi
                 p = (region.x0 + sgn * r * math.cos(t), cy + r * math.sin(t))
                 q = apply_gluing(stack, p)
                 if math.hypot(q[0] - apex[0], q[1] - apex[1]) > tol:
                     bad.append((j.level, u, q, apex))
-    sep_ok = True
-    for lvl, grp in per_level.items():
-        pts = [a for l, a in apexes if l == lvl]
-        for i in range(len(pts)):
-            for k in range(i + 1, len(pts)):
-                if math.hypot(pts[i][0] - pts[k][0], pts[i][1] - pts[k][1]) <= tol:
-                    sep_ok = False
+    sep_ok = not any(
+        math.hypot(a[0] - b[0], a[1] - b[1]) <= tol for pts in apexes.values() for a, b in combinations(pts, 2)
+    )
     return {"ok": not bad and sep_ok, "failures": bad, "apexes_distinct": sep_ok}
 
 

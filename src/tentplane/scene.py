@@ -36,15 +36,14 @@ from .arcs import (
     Projection,
     _flip_joins,
     flip_at,
-    join_reach,
     landing_projection,
-    match_window,
     resolve_x,
+    scan_tails,
     window_projection,
 )
 from .cantor import CantorCoordinate, block_midpoint, cantor_coordinate
 from .errors import ConflictError, MalformedSequence, NotAdmissible, ParseError
-from .kneading import KneadingSequence, is_admissible_tail, kneading_from_slope, scan_cylinders, tail_scan
+from .kneading import KneadingSequence, is_admissible_tail, kneading_from_slope, scan_cylinders
 from .sequences import LeftTail, parse_left, parse_right
 
 # value-mode slack of both checkers; rank mode is exact
@@ -127,7 +126,7 @@ def build_scene(
         slope = nu.slope
     else:
         _check_slope(nu, slope)
-    if not is_admissible_tail(context, nu):
+    if "*" in str(context) or not is_admissible_tail(context, nu):
         raise NotAdmissible(f"context {context} is not admissible")
 
     # each arc is scanned once; its matches give its landing indices
@@ -139,15 +138,14 @@ def build_scene(
         for item in tails:
             tail = parse_left(item) if isinstance(item, str) else item
             labels.setdefault(tail, item if isinstance(item, str) else str(item))
-        reach = join_reach(labels)
+        scans = scan_tails(labels, nu)
         for tail, label in labels.items():
-            n = match_window(tail, nu)
-            ok, ks = tail_scan(tail, nu, max(n, reach))
+            ok, landing, window, ks = scans[tail]
             if not ok:
                 raise NotAdmissible(f"tail {label} is not admissible")
-            proj = landing_projection(tail, nu, [k for k in ks if k <= n])
+            proj = landing_projection(tail, nu, landing)
             entries.append((label, tail, None, cantor_coordinate(tail, context), proj))
-            arcs.append((tail, tail.window(reach), [k for k in ks if k <= reach]))
+            arcs.append((tail, window, ks))
         raw = _flip_joins(arcs, nu, flip_at)
         mode = "tails"
     else:

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import figure_nu, figure_tails, figure_labels, random_kneading, random_tail
+from test_kneading import ref_admissible_tail, ref_head_matches, ref_match_window
 
 from tentplane import (
     AmbiguousAtDepth,
@@ -17,6 +18,7 @@ from tentplane import (
     RightSeq,
     arc_projection,
     boundary_pairs,
+    build_scene,
     kneading_from_slope,
     parse_left,
     parse_right,
@@ -33,11 +35,11 @@ from tentplane.arcs import (
     flip_at,
     landing_projection,
     orbit_compare,
+    scan_tails,
     side_of_level,
-    tail_matches,
     window_projection,
 )
-from tentplane.kneading import head_matches
+from tentplane.kneading import head_matches, tail_scan
 from tentplane.sequences import Order, compare_right, parity, plex_compare, tails_equal_horizon
 
 GOLD = kneading_from_slope((1 + math.sqrt(5)) / 2)
@@ -46,7 +48,7 @@ SQ2 = kneading_from_slope(math.sqrt(2))
 
 
 def landing(tail, nu):
-    return _landing(tail, nu, tail_matches(tail, nu))
+    return _landing(tail, nu, scan_tails([tail], nu)[tail].landing)
 
 
 def test_match_indices_frozen():
@@ -455,8 +457,8 @@ def test_landing_projection_agrees_with_reference():
     shapes = set()
     for n in range(600):
         nu = nus[n % len(nus)]
-        for t in _oracle_pool(rng, nu):
-            ks = tail_matches(t, nu)
+        for t, scan in scan_tails(_oracle_pool(rng, nu), nu).items():
+            ks = scan.landing
             assert _landing(t, nu, ks) == ref_landing(t, nu, ks), (str(t), str(nu))
             got = _outcome(landing_projection, t, nu, ks)
             assert got == _outcome(ref_landing_projection, t, nu, ks), (str(t), str(nu))
@@ -468,3 +470,64 @@ def test_landing_projection_agrees_with_reference():
     assert {(e, True) for e in (True, False)} <= {(s[0], s[2]) for s in shapes}
     assert {(e, True) for e in (True, False)} <= {(s[0], s[1]) for s in shapes}
     assert {True, "ambiguous"} <= {s[3] for s in shapes if not s[0]}
+
+
+def test_scan_tails_agrees_with_reference():
+    # each entry against the references of its two cuts: the landing
+    # matches of the match window, and the join window of the longest
+    # transient with its matches; a tail holding * is never an arc
+    rng = random.Random(43)
+    nus = oracle_pool_nus(rng)
+    shapes = set()
+    for n in range(400):
+        nu = nus[n % len(nus)]
+        pool = _oracle_pool(rng, nu)
+        if nu is nus[-1] and n % 2:
+            pool += rng.sample(figure_tails(), 4)
+        if n % 5 == 0:
+            pool.append(parse_left(rng.choice(["(1*).", "(01)*1.", "(*).", "(10)*."])))
+        if n % 3 == 0:
+            # nu's own period matches deep; a far partner lifts the reach
+            # past its match window
+            per = LeftTail(nu.seq.period)
+            pool += [per, flip_at(per, rng.randint(8, 24))]
+        scans = scan_tails(pool, nu)
+        assert list(scans) == list(dict.fromkeys(pool))
+        reach = max(len(t.transient) for t in pool)
+        for t, scan in scans.items():
+            m = ref_match_window(t, nu)
+            assert scan.landing == ref_head_matches(t.window(m), nu), (str(t), str(nu))
+            assert scan.window == t.window(reach), (str(t), str(nu))
+            assert scan.joins == ref_head_matches(scan.window, nu), (str(t), str(nu))
+            assert scan.admissible == (ref_admissible_tail(t, nu) and "*" not in str(t)), (str(t), str(nu))
+            shapes.add(((reach > m) - (reach < m), reach > nu.validated_depth, scan.admissible,
+                        any(k > m for k in scan.joins)))
+    # the reach above and below the match window, a truncated nu
+    # validated below the reach, admissible tails and not, and join
+    # matches past the match window that the landing cut drops
+    assert {1, -1} <= {s[0] for s in shapes}
+    assert True in {s[1] for s in shapes}
+    assert {True, False} <= {s[2] for s in shapes}
+    assert True in {s[3] for s in shapes}
+
+
+def test_one_tail_scan_per_distinct_tail(monkeypatch):
+    scanned = []
+
+    def counted(tail, *args):
+        scanned.append(tail)
+        return tail_scan(tail, *args)
+
+    monkeypatch.setattr("tentplane.arcs.tail_scan", counted)
+    tails = figure_tails()
+    assert len(set(tails)) == 12
+    # check_tau reads each tail's landing matches from the same scan
+    assert len(boundary_pairs(tails, figure_nu(), check_tau=True)) == 11
+    assert len(scanned) == 12
+    # repeats as tails, and in the scene also as text
+    pool = tails + tails[:5]
+    for build in (lambda: boundary_pairs(pool, figure_nu()),
+                  lambda: build_scene(figure_nu(), "(1).", tails=pool + [str(t) for t in tails[5:]])):
+        scanned.clear()
+        build()
+        assert sorted(map(str, scanned)) == sorted(map(str, tails))

@@ -22,7 +22,7 @@ from tentplane import (
     parse_right,
     validate_kneading,
 )
-from tentplane.arcs import Join, _flip_joins, match_window, side_of_level, tail_matches
+from tentplane.arcs import Join, _flip_joins, match_window, scan_tails, side_of_level
 from tentplane.kneading import (
     _ORBIT_EPS,
     RANK,
@@ -628,7 +628,8 @@ def test_tail_scan_stops_at_a_repeated_period(monkeypatch):
     assert is_admissible_tail(tail, nu) == want[0]
     assert sum(map(len, words)) < 64
     words.clear()
-    assert tail_matches(tail, nu) == want[1]
+    # one scan for the arc: its join window 10 is nu's own head
+    assert scan_tails([tail], nu)[tail] == (want[0], want[1], "10", [0, 2])
     assert sum(map(len, words)) < 64
 
 

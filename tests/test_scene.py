@@ -560,6 +560,18 @@ def test_malformed_tail_reported_before_inadmissible_one(tmp_path):
     assert main(["verify", "--scene", str(path)]) == 2
 
 
+def test_star_tails_are_not_arcs():
+    # heights count only the 1s, so (1*). was drawn on (10).: the same
+    # height over the same span, with no violation reported
+    with pytest.raises(NotAdmissible, match=r"^tail \(1\*\)\. is not admissible$"):
+        build_scene(kneading_from_text("1(0)"), "(1).", tails=["(1*).", "(10)."])
+    # refused before its joins are sought, where * cannot be flipped
+    with pytest.raises(NotAdmissible, match=r"^tail \(01\)\*1\. is not admissible$"):
+        build_scene(GOLD, "(101).", tails=["(01)*1."])
+    with pytest.raises(NotAdmissible, match=r"^context \(1\*1\)\. is not admissible$"):
+        build_scene(GOLD, "(1*1).", tails=["(101)."])
+
+
 def test_build_scene_never_rescans_a_word(monkeypatch):
     def rescan(word, nu):
         raise AssertionError(f"rescanned {word}")

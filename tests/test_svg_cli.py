@@ -189,6 +189,17 @@ def test_cli_inadmissible_tail_in_scene_file(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: tail (100). is not admissible\n")
 
 
+def test_cli_star_tails_are_not_arcs(capsys):
+    for argv, msg in (
+        (["--nu", "1(0)", "--L", "(1).", "--tails", "(1*).", "(10)."], "tail (1*). is not admissible"),
+        (["--nu", "(101)", "--L", "(101).", "--tails", "(01)*1."], "tail (01)*1. is not admissible"),
+        (["--nu", "(101)", "--L", "(1*1).", "--tails", "(101)."], "context (1*1). is not admissible"),
+    ):
+        capsys.readouterr()
+        assert main(["verify", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {msg}\n")
+
+
 def test_cli_scene_commands_refuse_tampered_file(tmp_path):
     argv = ["--nu", "(101)", "--L", "(1).", "--depth", "5"]
     path = _written_scene(tmp_path, *argv)
