@@ -363,7 +363,9 @@ def is_admissible_tail(tail: LeftTail, nu: KneadingSequence, depth: Optional[int
     symbols, T and P its transient and period lengths: that window holds
     every factor the infinite tail has at those lengths (see the module
     docstring).  Undecided comparisons pass: only provable violations
-    reject.
+    reject.  A ``*`` ranks between 0 and 1 here, so a tail holding one
+    may pass, but such a tail is never an arc: ``arcs.scan_tails`` and
+    ``build_scene`` refuse it.
     """
     return tail_scan(tail, nu, 0, depth)[0]
 

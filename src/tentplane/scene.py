@@ -15,8 +15,20 @@ through a bulge, and no two same-side bulges at the same abscissa
 interleave.  In rank mode every coordinate is rational, and both it and
 ``betweenness_check`` run exactly on one integer grid per scene, built
 inside each call: heights scaled by the lcm of their denominators,
-abscissae by the lcm of theirs.  In value mode they are float
-comparisons with the tolerance ``_VALUE_TOL``.
+abscissae by the lcm of theirs, segments sorted by grid height, joins
+grouped into charts by (side, abscissa) and by (level, side, abscissa).
+In value mode they are float comparisons with the tolerance
+``_VALUE_TOL``.
+
+Both checkers visit only what can fail.  A segment can cross a bulge
+only if it reaches past the chart's abscissa on the bulge side, so each
+chart indexes those candidates by height and each join bisects the
+index.  A chart whose spans nest, with no shared end, has no
+interleaving pair (a stack check); any other chart is compared pair by
+pair.  Betweenness counts, per (level, side, abscissa) group, the
+segments that fail either of its questions by height, so a clean gap
+costs one subtraction.  Violations come in the order of the plain
+pairwise scans.
 
 ``stored_geometry_check`` compares the rows of a scene file with the
 scene rebuilt from it.
@@ -201,9 +213,13 @@ def _raise_slot(w: str, m: int) -> str:
 
 
 class _Grid(NamedTuple):
-    """A rank-mode scene on one integer grid: height y is ``y * dy`` and
-    abscissa x is ``x * dx``, where ``dy`` and ``dx`` are the lcms of the
-    heights' and the abscissae's denominators."""
+    """A scene's segments sorted by height, its join spans and its charts.
+
+    In rank mode every coordinate lies on one integer grid: height y is
+    ``y * dy`` and abscissa x is ``x * dx``, where ``dy`` and ``dx`` are
+    the lcms of the heights' and the abscissae's denominators.  In value
+    mode heights stay exact, abscissae are floats and both scales are 1.
+    """
 
     dy: int
     dx: int
@@ -212,29 +228,50 @@ class _Grid(NamedTuple):
     x_lo: list
     x_hi: list
     joins: list  # (y_lo, y_hi, x0) of each scene join, in scene order
+    charts: dict  # (side, x0): indices of its joins, ascending
+    groups: dict  # (level, side, x0): indices of its joins, ascending
 
 
 def _grid(scene: Scene) -> _Grid:
-    by_y = sorted(scene.segments, key=lambda s: s.y.value)
-    heights = [s.y.value for s in by_y]
-    ends = [(j.y_lo, j.y_hi, j.x0) for j in scene.joins]
-    dy = math.lcm(*{q.denominator for q in heights}, *{q.denominator for e in ends for q in e[:2]})
-    dx = math.lcm(
-        *{q.denominator for s in by_y for q in (s.x_lo, s.x_hi)},
-        *{e[2].denominator for e in ends},
-    )
+    segs, js = scene.segments, scene.joins
+    if scene.x_mode == "rank":
+        ends = [(j.y_lo, j.y_hi, j.x0) for j in js]
+        dy = math.lcm(*{s.y.value.denominator for s in segs}, *{q.denominator for e in ends for q in e[:2]})
+        dx = math.lcm(
+            *{q.denominator for s in segs for q in (s.x_lo, s.x_hi)},
+            *{e[2].denominator for e in ends},
+        )
 
-    def on(q, d: int) -> int:
-        return q.numerator * (d // q.denominator)
+        def on(q, d: int) -> int:
+            return q.numerator * (d // q.denominator)
 
+        heights = [on(s.y.value, dy) for s in segs]
+        x_lo = [on(s.x_lo, dx) for s in segs]
+        x_hi = [on(s.x_hi, dx) for s in segs]
+        spans = [(on(lo, dy), on(hi, dy), on(x0, dx)) for lo, hi, x0 in ends]
+    else:
+        dy = dx = 1
+        heights = [s.y.value for s in segs]
+        x_lo = [float(s.x_lo) for s in segs]
+        x_hi = [float(s.x_hi) for s in segs]
+        spans = [(j.y_lo, j.y_hi, float(j.x0)) for j in js]
+    # a stable sort on the grid heights keeps the order of equal heights
+    order = sorted(range(len(segs)), key=heights.__getitem__)
+    charts: dict = {}
+    groups: dict = {}
+    for a, (j, (_, _, x0)) in enumerate(zip(js, spans)):
+        charts.setdefault((j.side, x0), []).append(a)
+        groups.setdefault((j.level, j.side, x0), []).append(a)
     return _Grid(
         dy,
         dx,
-        by_y,
-        [on(q, dy) for q in heights],
-        [on(s.x_lo, dx) for s in by_y],
-        [on(s.x_hi, dx) for s in by_y],
-        [(on(lo, dy), on(hi, dy), on(x0, dx)) for lo, hi, x0 in ends],
+        [segs[k] for k in order],
+        [heights[k] for k in order],
+        [x_lo[k] for k in order],
+        [x_hi[k] for k in order],
+        spans,
+        charts,
+        groups,
     )
 
 
@@ -257,12 +294,43 @@ def _join_join(a: SceneJoin, b: SceneJoin) -> dict:
     return {"kind": "join-join", "join_a": _join_key(a), "join_b": _join_key(b)}
 
 
+def _interleaved(a: tuple, b: tuple) -> bool:
+    # the join-join predicate on spans (y_lo, y_hi, x0); not symmetric
+    return (a[0] < b[0] < a[1]) != (a[0] < b[1] < a[1])
+
+
+def _nested(spans: list) -> bool:
+    """Whether every span has y_lo < y_hi, no two spans share an end and
+    any two are nested or disjoint.  ``_interleaved`` then holds for no
+    pair, in either order."""
+    if len({y for lo, hi, _ in spans for y in (lo, hi)}) < 2 * len(spans):
+        return False
+    around = []  # upper ends of the spans enclosing the current one
+    for lo, hi, _ in sorted(spans):
+        if lo > hi:
+            return False
+        while around and around[-1] < lo:
+            around.pop()
+        if around and around[-1] < hi:
+            return False
+        around.append(hi)
+    return True
+
+
 def verify_noncrossing(scene: Scene) -> list:
     """All planarity violations; empty means the drawing is clean.
 
     Checks bulge against segment and bulge against same-abscissa,
     same-side bulge.  Exact integer arithmetic in rank mode, tolerance
     ``_VALUE_TOL`` in value mode.
+
+    In rank mode each chart (the joins sharing a side and an abscissa
+    x0) indexes by height the segments that reach past x0 on its side,
+    the only ones that can cross its bulges, and each join bisects that
+    index.  A chart whose spans nest with no shared end has no
+    interleaving pair; any other chart is compared pair by pair.
+    Segment violations come first, by join and then by height; join
+    pairs follow by first join, then by partner.
     """
     if scene.x_mode == "rank":
         return _noncrossing_exact(scene)
@@ -293,11 +361,23 @@ def verify_noncrossing(scene: Scene) -> list:
 def _noncrossing_exact(scene: Scene) -> list:
     g = _grid(scene)
     dy2, dx2 = g.dy * g.dy, g.dx * g.dx
-    ys, js = g.ys, scene.joins
+    ys, js, spans = g.ys, scene.joins, g.joins
+    # per chart, the segments inside its widest gap that reach past x0
+    # on its side, by height
+    reach = {}
+    for (side, x0), members in g.charts.items():
+        ks = range(bisect_right(ys, min(spans[a][0] for a in members)),
+                   bisect_left(ys, max(spans[a][1] for a in members)))
+        if side == "right":
+            ks = [k for k in ks if g.x_hi[k] > x0]
+        else:
+            ks = [k for k in ks if g.x_lo[k] < x0]
+        reach[side, x0] = ([ys[k] for k in ks], ks)
     out = []
-    for j, (ylo, yhi, x0) in zip(js, g.joins):
+    for j, (ylo, yhi, x0) in zip(js, spans):
         right = j.side == "right"
-        for k in range(bisect_right(ys, ylo), bisect_left(ys, yhi)):
+        heights, ks = reach[j.side, x0]
+        for k in ks[bisect_right(heights, ylo) : bisect_left(heights, yhi)]:
             y = ys[k]
             # the bulge meets height y at x0 +- arm with arm^2 =
             # (y - ylo)(yhi - y); on the grid, arm^2 * dx^2 * dy^2 is rr
@@ -308,18 +388,16 @@ def _noncrossing_exact(scene: Scene) -> list:
             # one end beyond the arm, the other inside it
             if hi > 0 and hi * hi * dy2 > rr and (lo < 0 or lo * lo * dy2 < rr):
                 out.append(_segment_join(g.segments[k], j))
-    # same-side bulges at one abscissa: compare within each chart only,
-    # in the global (a, b) order (the interleave test is not symmetric)
-    charts: dict = {}
-    place = []  # each join's position in its chart
-    for a, (j, (_, _, x0)) in enumerate(zip(js, g.joins)):
-        chart = charts.setdefault((j.side, x0), [])
-        place.append(len(chart))
-        chart.append(a)
-    for a, (alo, ahi, x0) in enumerate(g.joins):
-        for b in charts[js[a].side, x0][place[a] + 1 :]:
-            blo, bhi, _ = g.joins[b]
-            if (alo < blo < ahi) != (alo < bhi < ahi):
+    # same-side bulges at one abscissa: only the charts that do not nest
+    # cleanly are compared, pair by pair within the chart, in the global
+    # (a, b) order
+    place = {}  # each such chart's joins: their position in the chart
+    for members in g.charts.values():
+        if not _nested([spans[a] for a in members]):
+            place.update((a, i) for i, a in enumerate(members))
+    for a in sorted(place):
+        for b in g.charts[js[a].side, spans[a][2]][place[a] + 1 :]:
+            if _interleaved(spans[a], spans[b]):
                 out.append(_join_join(js[a], js[b]))
     return out
 
@@ -330,35 +408,41 @@ def betweenness_check(scene: Scene) -> list:
     Every segment strictly between the joined heights must share the
     join's last m-1 symbols and must not reach past the join's abscissa
     on the bulge side.
+
+    Joins with one (level, side, abscissa) ask the same two questions of
+    a segment, so each group asks them once over the union of its gaps
+    and counts the failing segments by height: a clean gap costs one
+    subtraction, and only a gap holding a failure is scanned.  Exact on
+    the integer grid in rank mode, tolerance ``_VALUE_TOL`` in value
+    mode.
     """
-    if scene.x_mode == "rank":
-        g = _grid(scene)
-        by_y, ys, x_lo, x_hi, spans = g.segments, g.ys, g.x_lo, g.x_hi, g.joins
-        tol = 0  # integer grid: exact
-    else:
-        by_y = sorted(scene.segments, key=lambda s: s.y.value)
-        ys = [s.y.value for s in by_y]
-        x_lo = [float(s.x_lo) for s in by_y]
-        x_hi = [float(s.x_hi) for s in by_y]
-        spans = [(j.y_lo, j.y_hi, float(j.x0)) for j in scene.joins]
-        tol = _VALUE_TOL
-    heads: dict = {}
-    out = []
-    for j, (ylo, yhi, x0) in zip(scene.joins, spans):
-        m = j.level - 1
-        if m not in heads:
-            heads[m] = scene.nu.expand(m)
-        for k in range(bisect_right(ys, ylo), bisect_left(ys, yhi)):
-            s = by_y[k]
-            if s.last(m) != heads[m]:
-                out.append({"kind": "foreign-symbols", "segment": s.label, "level": j.level})
-                continue
-            if j.side == "right":
-                ok = x_hi[k] <= x0 + tol
+    g = _grid(scene)
+    ys, segs = g.ys, g.segments
+    tol = 0 if scene.x_mode == "rank" else _VALUE_TOL
+    gaps = [(bisect_right(ys, lo), bisect_left(ys, hi)) for lo, hi, _ in g.joins]
+    found = {}  # group: (first index, failure kind by height, running count)
+    for (level, side, x0), members in g.groups.items():
+        head = scene.nu.expand(level - 1)
+        start = min(gaps[a][0] for a in members)
+        kinds, bad = [], [0]
+        for k in range(start, max(gaps[a][1] for a in members)):
+            if segs[k].last(level - 1) != head:
+                kind = "foreign-symbols"
+            elif (g.x_hi[k] > x0 + tol) if side == "right" else (g.x_lo[k] < x0 - tol):
+                kind = "x-overreach"
             else:
-                ok = x_lo[k] >= x0 - tol
-            if not ok:
-                out.append({"kind": "x-overreach", "segment": s.label, "level": j.level})
+                kind = None
+            kinds.append(kind)
+            bad.append(bad[-1] + (kind is not None))
+        found[level, side, x0] = (start, kinds, bad)
+    out = []
+    for j, (lo, hi), (_, _, x0) in zip(scene.joins, gaps, g.joins):
+        start, kinds, bad = found[j.level, j.side, x0]
+        if lo >= hi or bad[hi - start] == bad[lo - start]:
+            continue
+        for k in range(lo, hi):
+            if kinds[k - start]:
+                out.append({"kind": kinds[k - start], "segment": segs[k].label, "level": j.level})
     return out
 
 

@@ -15,10 +15,12 @@ from tentplane import (
     KneadingSequence,
     LeftTail,
     MalformedSequence,
+    NotAdmissible,
     RightSeq,
     arc_projection,
     boundary_pairs,
     build_scene,
+    is_admissible_tail,
     kneading_from_slope,
     parse_left,
     parse_right,
@@ -39,7 +41,7 @@ from tentplane.arcs import (
     side_of_level,
     window_projection,
 )
-from tentplane.kneading import head_matches, tail_scan
+from tentplane.kneading import head_matches, kneading_from_text, tail_scan
 from tentplane.sequences import Order, compare_right, parity, plex_compare, tails_equal_horizon
 
 GOLD = kneading_from_slope((1 + math.sqrt(5)) / 2)
@@ -509,6 +511,18 @@ def test_scan_tails_agrees_with_reference():
     assert True in {s[1] for s in shapes}
     assert {True, False} <= {s[2] for s in shapes}
     assert True in {s[3] for s in shapes}
+
+
+def test_star_tail_is_admissible_but_never_an_arc():
+    # is_admissible_tail ranks * between 0 and 1 and passes (1*).; the
+    # arc scan and the scene refuse it
+    star = parse_left("(1*).")
+    for text in ("1(0)", "(101)", "(10)"):
+        nu = kneading_from_text(text)
+        assert is_admissible_tail(star, nu), text
+        assert not scan_tails([star], nu)[star].admissible, text
+        with pytest.raises(NotAdmissible, match=r"^tail \(1\*\)\. is not admissible$"):
+            build_scene(nu, "(1).", tails=[star])
 
 
 def test_one_tail_scan_per_distinct_tail(monkeypatch):

@@ -39,6 +39,7 @@ from tentplane.arcs import Join, flip_at, match_window, side_of_level
 from tentplane.cantor import CantorCoordinate
 from tentplane.cli import main
 from tentplane.kneading import head_matches, kneading_from_text, tail_scan
+from tentplane import scene as scene_module
 from tentplane.scene import Scene, Segment, scene_to_dict
 
 GOLD = kneading_from_slope((1 + math.sqrt(5)) / 2)
@@ -158,10 +159,15 @@ def test_build_scene_guards():
 
 
 def _permute_heights(scene, rng):
-    ys = [s.y for s in scene.segments]
-    shuffled = ys[:]
+    shuffled = [s.y for s in scene.segments]
     rng.shuffle(shuffled)
-    segs = [dataclasses.replace(s, y=y2) for s, y2 in zip(scene.segments, shuffled)]
+    return _with_heights(scene, shuffled)
+
+
+def _with_heights(scene, ys):
+    """The scene with segment i at height ys[i], joins kept between the
+    same segments, low end first."""
+    segs = [dataclasses.replace(s, y=y2) for s, y2 in zip(scene.segments, ys)]
     by = {s.label: s for s in segs}
     joins = []
     for j in scene.joins:
@@ -332,6 +338,97 @@ def _reference_betweenness(scene):
     return out
 
 
+# ------------------------------------------- integer-grid reference checkers
+# the rank-mode bodies of verify_noncrossing and betweenness_check before
+# they became output-sensitive: every join visits its whole gap and every
+# pair of joins in a chart is compared
+
+
+def ref_grid(scene):
+    by_y = sorted(scene.segments, key=lambda s: s.y.value)
+    heights = [s.y.value for s in by_y]
+    ends = [(j.y_lo, j.y_hi, j.x0) for j in scene.joins]
+    dy = math.lcm(*{q.denominator for q in heights}, *{q.denominator for e in ends for q in e[:2]})
+    dx = math.lcm(
+        *{q.denominator for s in by_y for q in (s.x_lo, s.x_hi)},
+        *{e[2].denominator for e in ends},
+    )
+
+    def on(q, d):
+        return q.numerator * (d // q.denominator)
+
+    return (
+        dy,
+        dx,
+        by_y,
+        [on(q, dy) for q in heights],
+        [on(s.x_lo, dx) for s in by_y],
+        [on(s.x_hi, dx) for s in by_y],
+        [(on(lo, dy), on(hi, dy), on(x0, dx)) for lo, hi, x0 in ends],
+    )
+
+
+def _join_key(j):
+    return (j.level, j.low.label, j.high.label)
+
+
+def ref_noncrossing_grid(scene):
+    dy, dx, by_y, ys, x_los, x_his, spans = ref_grid(scene)
+    dy2, dx2 = dy * dy, dx * dx
+    js = scene.joins
+    out = []
+    for j, (ylo, yhi, x0) in zip(js, spans):
+        right = j.side == "right"
+        for k in range(bisect_right(ys, ylo), bisect_left(ys, yhi)):
+            y = ys[k]
+            rr = (y - ylo) * (yhi - y) * dx2
+            lo, hi = x_los[k] - x0, x_his[k] - x0
+            if not right:
+                lo, hi = -hi, -lo
+            if hi > 0 and hi * hi * dy2 > rr and (lo < 0 or lo * lo * dy2 < rr):
+                out.append({"kind": "segment-join", "segment": by_y[k].label, "join": _join_key(j)})
+    charts = {}
+    place = []
+    for a, (j, (_, _, x0)) in enumerate(zip(js, spans)):
+        chart = charts.setdefault((j.side, x0), [])
+        place.append(len(chart))
+        chart.append(a)
+    for a, (alo, ahi, x0) in enumerate(spans):
+        for b in charts[js[a].side, x0][place[a] + 1 :]:
+            blo, bhi, _ = spans[b]
+            if (alo < blo < ahi) != (alo < bhi < ahi):
+                out.append({"kind": "join-join", "join_a": _join_key(js[a]), "join_b": _join_key(js[b])})
+    return out
+
+
+def ref_betweenness_grid(scene):
+    if scene.x_mode == "rank":
+        _, _, by_y, ys, x_lo, x_hi, spans = ref_grid(scene)
+        tol = 0
+    else:
+        by_y = sorted(scene.segments, key=lambda s: s.y.value)
+        ys = [s.y.value for s in by_y]
+        x_lo = [float(s.x_lo) for s in by_y]
+        x_hi = [float(s.x_hi) for s in by_y]
+        spans = [(j.y_lo, j.y_hi, float(j.x0)) for j in scene.joins]
+        tol = 1e-9
+    out = []
+    for j, (ylo, yhi, x0) in zip(scene.joins, spans):
+        head = scene.nu.expand(j.level - 1)
+        for k in range(bisect_right(ys, ylo), bisect_left(ys, yhi)):
+            s = by_y[k]
+            if s.last(j.level - 1) != head:
+                out.append({"kind": "foreign-symbols", "segment": s.label, "level": j.level})
+                continue
+            if j.side == "right":
+                ok = x_hi[k] <= x0 + tol
+            else:
+                ok = x_lo[k] >= x0 - tol
+            if not ok:
+                out.append({"kind": "x-overreach", "segment": s.label, "level": j.level})
+    return out
+
+
 def _fan(scene, rng, n=8):
     """Every pair of the n lowest segments joined in the chart of the
     first join, in random order: shared endpoints in every arrangement."""
@@ -391,6 +488,105 @@ def test_checkers_agree_with_reference():
         if name == "truncated nu":
             assert len(got + between) == 52
     assert kinds == {"segment-join", "join-join", "foreign-symbols", "x-overreach"}
+
+
+def _tamper(scene, rng):
+    """Swap the height of a segment strictly inside a level >= 2 join gap
+    with that of a segment whose last level-1 symbols are not nu's head,
+    so the moved segment sits in the gap with foreign symbols."""
+    ys = [s.y.value for s in scene.segments]
+    gaps = [(j, bisect_right(ys, j.y_lo), bisect_left(ys, j.y_hi)) for j in scene.joins if j.level >= 2]
+    j, lo, hi = rng.choice([g for g in gaps if g[1] < g[2]])
+    inside = scene.segments[rng.randrange(lo, hi)]
+    head = scene.nu.expand(j.level - 1)
+    foreign = rng.choice([s for s in scene.segments if s.last(j.level - 1) != head])
+    swap = {inside.label: foreign.y, foreign.label: inside.y}
+    return _with_heights(scene, [swap.get(s.label, s.y) for s in scene.segments]), foreign.label
+
+
+def _star(scene, n=8):
+    """The lowest segment joined to each of the next n in the chart of the
+    first join, outermost first: spans that nest but share their low end."""
+    j0 = scene.joins[0]
+    low, *rest = scene.segments[: n + 1]
+    joins = [SceneJoin(j0.level, j0.side, low, s, j0.x0) for s in reversed(rest)]
+    return dataclasses.replace(scene, joins=joins)
+
+
+def _grid_oracle_scenes():
+    """(name, scene): deep rank cylinder scenes, their tampered and
+    scrambled copies, shared-end charts and value-mode tail scenes."""
+    rng = random.Random(14)
+    for name, nu, depths in (("golden", GOLD, (12, 13, 14)),
+                             ("sqrt2", kneading_from_slope(math.sqrt(2)), (12, 13, 14)),
+                             ("slope-2", kneading_from_slope(2.0), (10, 11))):
+        ctxs = []
+        while len(ctxs) < 2:
+            L = random_tail(rng, nu)
+            if L not in ctxs:
+                ctxs.append(L)
+        for L in ctxs:
+            for d in depths:
+                sc = build_scene(nu, L, depth=d)
+                yield f"{name} {L} depth {d}", sc
+                if d == depths[0]:
+                    bad, label = _tamper(sc, random.Random(d))
+                    yield f"{name} {L} depth {d} tampered ({label})", bad
+                if d == depths[0] and name == "golden":
+                    # every chart tangled: the pairwise scans interleave
+                    yield f"{name} {L} depth {d} scrambled", _permute_heights(sc, random.Random(d))
+    gold6 = build_scene(GOLD, "(101).", depth=6)
+    for seed in range(10):
+        yield f"golden fan {seed}", _fan(gold6, random.Random(seed))
+    yield "golden star", _star(gold6)
+    yield "on the arc", _on_arc(gold6)
+    value_nu = kneading_from_slope(1.9, max_iter=512)
+    for seed in range(3):
+        pool = [t for t in _oracle_pool(random.Random(seed), value_nu) if is_admissible_tail(t, value_nu)]
+        vs = build_scene(value_nu, random_tail(random.Random(seed), value_nu), tails=pool, x_mode="value")
+        yield f"value {seed}", vs
+        yield f"value {seed} scrambled", _permute_heights(vs, random.Random(seed))
+
+
+def test_checkers_agree_with_grid_reference():
+    kinds = Counter()
+    for name, sc in _grid_oracle_scenes():
+        between = betweenness_check(sc)
+        assert between == ref_betweenness_grid(sc), name
+        if "tampered" in name:
+            label = name[name.rindex("(") + 1 : -1]
+            assert any(v["kind"] == "foreign-symbols" and v["segment"] == label for v in between), name
+        got = []
+        if sc.x_mode == "rank":
+            got = verify_noncrossing(sc)
+            assert got == ref_noncrossing_grid(sc), name
+        kinds.update(v["kind"] for v in got + between)
+    assert set(kinds) == {"segment-join", "join-join", "foreign-symbols", "x-overreach"}
+
+
+def test_checkers_are_output_sensitive(monkeypatch):
+    # a clean scene: each segment answers last(m) at most once per level,
+    # and no chart needs the pairwise join-join comparison
+    sc = build_scene(kneading_from_text("(101)"), "(1).", depth=14)
+    calls = Counter()
+    last, interleaved = Segment.last, scene_module._interleaved
+
+    def counted_last(self, k):
+        calls["last"] += 1
+        return last(self, k)
+
+    def counted_interleaved(a, b):
+        calls["interleaved"] += 1
+        return interleaved(a, b)
+
+    monkeypatch.setattr(Segment, "last", counted_last)
+    monkeypatch.setattr(scene_module, "_interleaved", counted_interleaved)
+    assert verify_noncrossing(sc) == [] and betweenness_check(sc) == []
+    levels = {j.level for j in sc.joins}
+    assert calls["last"] <= len(sc.segments) * len(levels), (calls, len(sc.segments), len(levels))
+    assert calls["interleaved"] == 0
+    # the shared-end charts of a fan fall back to the pairwise scan
+    assert verify_noncrossing(_fan(sc, random.Random(0))) and calls["interleaved"] > 0
 
 
 # ------------------------------------------------ build_scene reference
