@@ -1,8 +1,9 @@
 """Stagewise gluing of joined arcs, with checkable certificates.
 
-Each join level of a scene gets a chart: the level's bulges are
-concentric semicircles around a shared center, so a stage map can work
-in polar coordinates there.  Inside a thin radial tube around each bulge
+Each join level of a scene gets a chart, read from the scene grid's
+(level, side, abscissa) groups: the level's bulges are concentric
+semicircles around a shared center, so a stage map can work in polar
+coordinates there.  Inside a thin radial tube around each bulge
 radius the stage pulls angles toward the bulge's apex; exactly on a
 bulge the pull is total, so the joined pair of endpoints (and the whole
 bulge between them) lands on one point, performing the gluing.  Radii
@@ -14,7 +15,9 @@ module exposes certificates: sampled assertions that stage supports stay
 inside their allotted region, points move at most once across all
 stages, per-stage displacements stay within the region diameter, the
 collapse is injective on bulges, and the glued picture stays below the
-ceiling.  Tests freeze these into pass/fail facts for concrete scenes.
+ceiling.  Four of them read one sample pass, memoized on the regions'
+floats and the scene object.  Tests freeze these into pass/fail facts
+for concrete scenes.
 
 ``collapse_profile``/``fiber_collapse`` are the one-dimensional model
 squeeze used by the charts, kept exact (piecewise linear, rational in,
@@ -144,24 +147,27 @@ class GlueRegion:
         )
 
 
+def _levels(scene: Scene):
+    """(level, its joins in scene order), shallow to deep, from the scene
+    grid's (level, side, abscissa) groups; a level spread over two
+    groups has no concentric chart and raises when it is reached."""
+    groups = sorted(scene.grid.groups.items())
+    for i, ((level, _, _), members) in enumerate(groups):
+        if i + 1 < len(groups) and groups[i + 1][0][0] == level:
+            raise TentplaneError(f"level {level} joins do not share a chart")
+        yield level, [scene.joins[a] for a in members]
+
+
 def build_glue_stack(scene: Scene) -> list:
     """One GlueRegion per join level, shallow to deep.
 
-    Levels whose joins disagree on abscissa or midpoint cannot be
+    Levels whose joins disagree on side, abscissa or midpoint cannot be
     charted concentrically and raise; degenerate radii or no room for a
     tube raise ChartOverflow.
     """
-    per_level: dict = {}
-    for j in scene.joins:
-        per_level.setdefault(j.level, []).append(j)
     out = []
-    for level in sorted(per_level):
-        joins = per_level[level]
-        sides = {j.side for j in joins}
-        x0s = {float(j.x0) for j in joins}
+    for level, joins in _levels(scene):
         mids = {j.center for j in joins}
-        if len(sides) != 1 or len(x0s) != 1:
-            raise TentplaneError(f"level {level} joins do not share a chart")
         if len(mids) != 1:
             raise TentplaneError(f"level {level} joins are not concentric")
         radii = tuple(sorted(j.radius for j in joins))
@@ -175,16 +181,8 @@ def build_glue_stack(scene: Scene) -> list:
             margin = min(margin, ceiling_gap)
         if margin <= 0:
             raise ChartOverflow(f"level {level} chart has no room for a tube")
-        out.append(
-            GlueRegion(
-                level,
-                joins[0].side,
-                x0s.pop(),
-                center_y,
-                radii,
-                float(margin) * _EPS_SCALE,
-            )
-        )
+        eps = float(margin) * _EPS_SCALE
+        out.append(GlueRegion(level, joins[0].side, float(joins[0].x0), center_y, radii, eps))
     return out
 
 
@@ -266,22 +264,11 @@ def in_carved_region(stack, i: int, point, slack: float = 0.0) -> bool:
     return not any(in_region(r, point, -slack) for r in stack[i + 1 :])
 
 
-def scene_samples(scene: Scene):
+def scene_samples(scene: Scene) -> list:
     """Deterministic probe points on the drawn geometry."""
-    return _samples(_sample_floats(scene), len(scene.segments))
-
-
-def _sample_floats(scene: Scene) -> array:
-    # what scene_samples reads: y, x_lo and x_hi of each segment, then
-    # center, radius, x0 and the side's sign of each join
-    segs = ((s.y.value, s.x_lo, s.x_hi) for s in scene.segments)
-    joins = ((j.center, j.radius, j.x0, 1 if j.side == "right" else -1) for j in scene.joins)
-    return array("d", map(float, chain.from_iterable(chain(segs, joins))))
-
-
-def _samples(floats, n_segments: int) -> list:
+    floats = _sample_floats(scene)
     pts = []
-    split = 3 * n_segments
+    split = 3 * len(scene.segments)
     for i in range(0, split, 3):
         y, lo, hi = floats[i : i + 3]
         for k in range(_SEGMENT_SAMPLES):
@@ -295,6 +282,14 @@ def _samples(floats, n_segments: int) -> list:
     return pts
 
 
+def _sample_floats(scene: Scene) -> array:
+    # what scene_samples reads: y, x_lo and x_hi of each segment, then
+    # center, radius, x0 and the side's sign of each join
+    segs = ((s.y.value, s.x_lo, s.x_hi) for s in scene.segments)
+    joins = ((j.center, j.radius, j.x0, 1 if j.side == "right" else -1) for j in scene.joins)
+    return array("d", map(float, chain.from_iterable(chain(segs, joins))))
+
+
 class _SamplePass(NamedTuple):
     points: tuple  # scene_samples
     paths: tuple  # stage_path of each point
@@ -303,22 +298,21 @@ class _SamplePass(NamedTuple):
 
 def _sample_pass(stack, scene: Scene) -> _SamplePass:
     """The scene's samples, each with one stage path, shared by the
-    sampled certificates.  Keyed by value, bit for bit: the regions, the
-    floats their stage maps read and the floats ``scene_samples`` reads
-    (-0.0 == 0.0 in Python, yet a stage map can tell them apart).  A
-    scene mutated in place or a replaced region therefore misses."""
+    sampled certificates.  Keyed by the regions, the floats their stage
+    maps read, bit for bit (-0.0 == 0.0 in Python, yet a stage map can
+    tell them apart), and the scene object: a scene is immutable, so a
+    hit converts nothing, and a replaced scene or region misses."""
     regions = tuple(stack)
     floats = array(
         "d", chain.from_iterable((r.x0, r.eps, r.chart.center_y, *r.chart.radii) for r in regions)
     )
-    drawn = _sample_floats(scene)
-    return _sample_pass_by_value(regions, floats.tobytes(), drawn.tobytes(), len(scene.segments))
+    return _sample_pass_memo(regions, floats.tobytes(), scene)
 
 
 @lru_cache(maxsize=1)
-def _sample_pass_by_value(regions: tuple, floats: bytes, drawn: bytes, n_segments: int) -> _SamplePass:
+def _sample_pass_memo(regions: tuple, floats: bytes, scene: Scene) -> _SamplePass:
     # ``floats`` only keys the memo; the stage maps read the regions
-    points = tuple(_samples(array("d", drawn), n_segments))
+    points = tuple(scene_samples(scene))
     paths = tuple(stage_path(regions, p) for p in points)
     return _SamplePass(points, paths, tuple(_hops(path) for path in paths))
 
@@ -383,14 +377,12 @@ def cauchy_certificate(stack, scene: Scene, tol: float = 1e-9) -> dict:
 
 def collapse_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
     """Every bulge lands on its own apex, one apex per radius."""
-    per_level: dict = {}
-    for j in scene.joins:
-        per_level.setdefault(j.level, []).append(j)
+    levels = dict(_levels(scene))
     bad = []
     apexes: dict = {}  # per level, across regions
     for region in stack:
         sgn = 1 if region.side == "right" else -1
-        for j in per_level[region.level]:
+        for j in levels[region.level]:
             r = float(j.radius)
             cy = region.chart.center_y
             apex = (region.x0 + sgn * r, cy)

@@ -12,23 +12,25 @@ its block-midpoint height).
 
 ``verify_noncrossing`` checks the planarity contract: no segment pokes
 through a bulge, and no two same-side bulges at the same abscissa
-interleave.  In rank mode every coordinate is rational, and both it and
-``betweenness_check`` run exactly on one integer grid per scene, built
-inside each call: heights scaled by the lcm of their denominators,
-abscissae by the lcm of theirs, segments sorted by grid height, joins
-grouped into charts by (side, abscissa) and by (level, side, abscissa).
-In value mode they are float comparisons with the tolerance
-``_VALUE_TOL``.
+interleave.  A scene is immutable, and ``Scene.grid``, built once per
+scene and read by both checkers and the glue stack, sorts segments by
+height and groups joins into charts by (side, abscissa) and by (level,
+side, abscissa).  In rank mode it is an integer grid (heights scaled by
+the lcm of their denominators, abscissae by the lcm of theirs) and the
+checkers are exact; in value mode abscissae are floats, compared with
+the tolerance ``_VALUE_TOL``.
 
-Both checkers visit only what can fail.  A segment can cross a bulge
-only if it reaches past the chart's abscissa on the bulge side, so each
-chart indexes those candidates by height and each join bisects the
-index.  A chart whose spans nest, with no shared end, has no
-interleaving pair (a stack check); any other chart is compared pair by
-pair.  Betweenness counts, per (level, side, abscissa) group, the
-segments that fail either of its questions by height, so a clean gap
-costs one subtraction.  Violations come in the order of the plain
-pairwise scans.
+Both checkers run one path in both modes and visit only what can fail.
+A segment can cross a bulge only if it reaches past the chart's
+abscissa on the bulge side, so each chart indexes those candidates by
+height, each join bisects the index, and only the hit test depends on
+the mode.  Same-side charts whose abscissae lie within the tolerance
+(in rank mode, one chart) are compared together: if their spans nest,
+with no shared end, no pair interleaves (a stack check); otherwise they
+are compared pair by pair.  Betweenness counts, per (level, side,
+abscissa) group, the segments that fail either of its questions by
+height, so a clean gap costs one subtraction.  Violations come in the
+order of the plain pairwise scans.
 
 ``stored_geometry_check`` compares the rows of a scene file with the
 scene rebuilt from it.
@@ -104,16 +106,27 @@ class SceneJoin:
         return (self.y_hi - self.y_lo) / 2
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Scene:
+    """Segments (sorted by height) and joins are stored as tuples, so
+    ``grid`` is built once; a replaced copy builds its own."""
+
     nu: KneadingSequence
     context: LeftTail
     mode: str
     x_mode: str
-    segments: list
-    joins: list
+    segments: tuple
+    joins: tuple
     depth: Optional[int] = None
     slope: Optional[float] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "segments", tuple(self.segments))
+        object.__setattr__(self, "joins", tuple(self.joins))
+
+    @cached_property
+    def grid(self) -> _Grid:
+        return _grid(self)
 
 
 def build_scene(
@@ -324,42 +337,18 @@ def verify_noncrossing(scene: Scene) -> list:
     same-side bulge.  Exact integer arithmetic in rank mode, tolerance
     ``_VALUE_TOL`` in value mode.
 
-    In rank mode each chart (the joins sharing a side and an abscissa
-    x0) indexes by height the segments that reach past x0 on its side,
-    the only ones that can cross its bulges, and each join bisects that
-    index.  A chart whose spans nest with no shared end has no
-    interleaving pair; any other chart is compared pair by pair.
+    Each chart (the joins sharing a side and an abscissa x0) indexes by
+    height the segments that reach past x0 on its side, the only ones
+    that can cross its bulges, and each join bisects that index.  Charts
+    on one side whose abscissae lie within the tolerance (none in rank
+    mode) form a cluster; a cluster whose spans nest with no shared end
+    has no interleaving pair, and any other is compared pair by pair.
     Segment violations come first, by join and then by height; join
     pairs follow by first join, then by partner.
     """
-    if scene.x_mode == "rank":
-        return _noncrossing_exact(scene)
-    out = []
-    # scan segments by height so each join only visits its own gap
-    by_y = sorted(scene.segments, key=lambda s: s.y.value)
-    ys = [s.y.value for s in by_y]
-    for j in scene.joins:
-        ylo, yhi = j.y_lo, j.y_hi
-        yc, r = (ylo + yhi) / 2, (yhi - ylo) / 2
-        for k in range(bisect_right(ys, ylo), bisect_left(ys, yhi)):
-            s = by_y[k]
-            dy = ys[k] - yc
-            rr = r * r - dy * dy
-            if _crosses_float(j.side, float(j.x0), float(rr), float(s.x_lo), float(s.x_hi)):
-                out.append(_segment_join(s, j))
-    js = scene.joins
-    for a in range(len(js)):
-        for b in range(a + 1, len(js)):
-            ja, jb = js[a], js[b]
-            if ja.side != jb.side or abs(float(ja.x0) - float(jb.x0)) > _VALUE_TOL:
-                continue
-            if (ja.y_lo < jb.y_lo < ja.y_hi) != (ja.y_lo < jb.y_hi < ja.y_hi):
-                out.append(_join_join(ja, jb))
-    return out
-
-
-def _noncrossing_exact(scene: Scene) -> list:
-    g = _grid(scene)
+    g = scene.grid
+    exact = scene.x_mode == "rank"
+    tol = 0 if exact else _VALUE_TOL
     dy2, dx2 = g.dy * g.dy, g.dx * g.dx
     ys, js, spans = g.ys, scene.joins, g.joins
     # per chart, the segments inside its widest gap that reach past x0
@@ -378,26 +367,38 @@ def _noncrossing_exact(scene: Scene) -> list:
         right = j.side == "right"
         heights, ks = reach[j.side, x0]
         for k in ks[bisect_right(heights, ylo) : bisect_left(heights, yhi)]:
-            y = ys[k]
-            # the bulge meets height y at x0 +- arm with arm^2 =
-            # (y - ylo)(yhi - y); on the grid, arm^2 * dx^2 * dy^2 is rr
-            rr = (y - ylo) * (yhi - y) * dx2
-            lo, hi = g.x_lo[k] - x0, g.x_hi[k] - x0
-            if not right:
-                lo, hi = -hi, -lo  # mirror a left bulge onto the right
-            # one end beyond the arm, the other inside it
-            if hi > 0 and hi * hi * dy2 > rr and (lo < 0 or lo * lo * dy2 < rr):
+            # the bulge meets height y at x0 +- arm, arm^2 = (y - ylo)(yhi - y)
+            arm2 = (ys[k] - ylo) * (yhi - ys[k])
+            if not exact:
+                hit = _crosses_float(j.side, x0, float(arm2), g.x_lo[k], g.x_hi[k])
+            else:
+                # on the grid, arm^2 * dx^2 * dy^2 is rr
+                rr = arm2 * dx2
+                lo, hi = g.x_lo[k] - x0, g.x_hi[k] - x0
+                if not right:
+                    lo, hi = -hi, -lo  # mirror a left bulge onto the right
+                # one end beyond the arm, the other inside it
+                hit = hi > 0 and hi * hi * dy2 > rr and (lo < 0 or lo * lo * dy2 < rr)
+            if hit:
                 out.append(_segment_join(g.segments[k], j))
-    # same-side bulges at one abscissa: only the charts that do not nest
-    # cleanly are compared, pair by pair within the chart, in the global
-    # (a, b) order
-    place = {}  # each such chart's joins: their position in the chart
-    for members in g.charts.values():
+    # same-side bulges at one abscissa: only the clusters that do not
+    # nest cleanly are compared, pair by pair within the cluster, in the
+    # global (a, b) order
+    clusters, last = [], None
+    for side, x0 in sorted(g.charts):
+        if last is None or side != last[0] or x0 - last[1] > tol:
+            clusters.append([])
+        clusters[-1] += g.charts[side, x0]
+        last = side, x0
+    place = {}  # each such cluster's joins: the cluster, their position in it
+    for members in clusters:
         if not _nested([spans[a] for a in members]):
-            place.update((a, i) for i, a in enumerate(members))
+            members.sort()
+            place.update((a, (members, i)) for i, a in enumerate(members))
     for a in sorted(place):
-        for b in g.charts[js[a].side, spans[a][2]][place[a] + 1 :]:
-            if _interleaved(spans[a], spans[b]):
+        members, i = place[a]
+        for b in members[i + 1 :]:
+            if abs(spans[a][2] - spans[b][2]) <= tol and _interleaved(spans[a], spans[b]):
                 out.append(_join_join(js[a], js[b]))
     return out
 
@@ -416,7 +417,7 @@ def betweenness_check(scene: Scene) -> list:
     the integer grid in rank mode, tolerance ``_VALUE_TOL`` in value
     mode.
     """
-    g = _grid(scene)
+    g = scene.grid
     ys, segs = g.ys, g.segments
     tol = 0 if scene.x_mode == "rank" else _VALUE_TOL
     gaps = [(bisect_right(ys, lo), bisect_left(ys, hi)) for lo, hi, _ in g.joins]

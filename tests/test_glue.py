@@ -162,11 +162,16 @@ def test_stack_rejects_bad_charts():
     with pytest.raises(ChartOverflow):
         build_glue_stack(scene_with([SceneJoin(1, "left", a, a, 0.5)], [a]))
     mixed = [SceneJoin(1, "left", a, b, 0.5), SceneJoin(1, "right", a, c, 0.5)]
-    with pytest.raises(TentplaneError):
+    with pytest.raises(TentplaneError, match="level 1 joins do not share a chart"):
         build_glue_stack(scene_with(mixed, [a, b, c]))
     off = [SceneJoin(1, "left", a, b, 0.5), SceneJoin(1, "left", a, c, 0.5)]
     with pytest.raises(TentplaneError):
         build_glue_stack(scene_with(off, [a, b, c]))
+    # levels are checked shallow to deep: level 1's zero-height join is
+    # reported before level 2's mixed sides
+    first = [SceneJoin(1, "left", a, a, 0.5), SceneJoin(2, "left", a, b, 0.5), SceneJoin(2, "right", a, c, 0.5)]
+    with pytest.raises(ChartOverflow, match="level 1 has a zero-height join"):
+        build_glue_stack(scene_with(first, [a, b, c]))
 
 
 def test_stage_collapses_bulges_to_apexes():
@@ -424,17 +429,23 @@ def test_certificates_share_one_sample_pass(monkeypatch):
         return real(stack, point)
 
     monkeypatch.setattr(glue, "stage_path", counted)
+    converted = []
+    real_floats = glue._sample_floats
+    monkeypatch.setattr(glue, "_sample_floats", lambda scene: converted.append(scene) or real_floats(scene))
     # the memo holds one pass: certify a trimmed stack first, so the run
     # below starts without one for (stack, sc)
     support_certificate(stack[:-1], sc)
     samples, joins = len(scene_samples(sc)), len(sc.joins)
     # one path per sample, shared by four certificates; collapse follows
-    # five points per join
-    for expected in (samples + 5 * joins, 5 * joins):
+    # five points per join; the scene is converted to floats on a miss
+    # only
+    for expected, conversions in ((samples + 5 * joins, 1), (5 * joins, 0)):
         calls.clear()
+        converted.clear()
         for fn in CERTS:
             assert fn(stack, sc)["ok"], fn.__name__
         assert len(calls) == expected
+        assert len(converted) == conversions
 
 
 def test_sample_pass_memo_is_keyed_by_value():
@@ -449,13 +460,13 @@ def test_sample_pass_memo_is_keyed_by_value():
              (cauchy_certificate, ref_cauchy), (collapse_certificate, ref_collapse),
              (ceiling_certificate, ref_ceiling)]
     # each call differs from the one before it in the stack or in the
-    # scene's segment k, swapped in place; a stale pass would show as a
-    # full failure list equal to the previous input's
+    # scene's segment k, swapped in by a replaced copy; a stale pass
+    # would show as a full failure list equal to the previous input's
     inputs = [(built, seg), (built, moved), (wider, moved), (wider, seg), (built, seg)]
     for fn, ref in pairs:
         seen = []
         for stack, s in inputs:
-            sc.segments[k] = s
+            sc = replace(sc, segments=[*sc.segments[:k], s, *sc.segments[k + 1 :]])
             for tol in ({}, {"tol": -1.0}):
                 rep = fn(stack, sc, **tol)
                 assert rep == ref(stack, sc, **tol), fn.__name__

@@ -1,6 +1,7 @@
 """The package root's export list, unused imports in the modules, and
 definitions that nothing names."""
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -44,6 +45,17 @@ def test_root_exports():
     for name in ("pop", "is_pure"):
         assert not hasattr(tentplane.LeftTail, name), name
     assert not hasattr(importlib.import_module("tentplane.glue").GlueRegion, "hull_bound_ok")
+
+
+def test_cached_values_are_frozen_dataclasses():
+    # Scene.grid, SceneJoin.center and .radius, GlueRegion.chart and the
+    # sample memo hold only while these values cannot change
+    from tentplane.cantor import CantorCoordinate
+    from tentplane.glue import GlueRegion
+    from tentplane.scene import Scene, SceneJoin, Segment
+
+    for cls in (Scene, Segment, SceneJoin, GlueRegion, CantorCoordinate):
+        assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, cls.__name__
 
 
 def _unused_imports(source: str) -> list:

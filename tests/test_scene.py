@@ -24,8 +24,10 @@ from tentplane import (
     TentplaneError,
     betweenness_check,
     block_midpoint,
+    build_glue_stack,
     build_scene,
     cantor_coordinate,
+    collapse_certificate,
     enumerate_cylinders,
     is_admissible_tail,
     kneading_from_slope,
@@ -556,12 +558,127 @@ def test_checkers_agree_with_grid_reference():
         if "tampered" in name:
             label = name[name.rindex("(") + 1 : -1]
             assert any(v["kind"] == "foreign-symbols" and v["segment"] == label for v in between), name
-        got = []
+        got = verify_noncrossing(sc)
         if sc.x_mode == "rank":
-            got = verify_noncrossing(sc)
             assert got == ref_noncrossing_grid(sc), name
+        else:
+            assert got == ref_noncrossing_value(sc), name
         kinds.update(v["kind"] for v in got + between)
     assert set(kinds) == {"segment-join", "join-join", "foreign-symbols", "x-overreach"}
+
+
+# ------------------------------------------------- value-mode reference
+# the value-mode body of verify_noncrossing before it read the scene
+# grid: every join visits its whole gap, and every pair of same-side
+# joins whose float abscissae lie within the tolerance is compared
+
+
+def _ref_crosses_float(side, x0, rr, x_lo, x_hi):
+    arm = math.sqrt(rr)
+    xc = x0 + arm if side == "right" else x0 - arm
+    return min(x_hi - xc, xc - x_lo) > 1e-9
+
+
+def ref_noncrossing_value(scene):
+    out = []
+    by_y = sorted(scene.segments, key=lambda s: s.y.value)
+    ys = [s.y.value for s in by_y]
+    for j in scene.joins:
+        ylo, yhi = j.y_lo, j.y_hi
+        yc, r = (ylo + yhi) / 2, (yhi - ylo) / 2
+        for k in range(bisect_right(ys, ylo), bisect_left(ys, yhi)):
+            s = by_y[k]
+            dy = ys[k] - yc
+            rr = r * r - dy * dy
+            if _ref_crosses_float(j.side, float(j.x0), float(rr), float(s.x_lo), float(s.x_hi)):
+                out.append({"kind": "segment-join", "segment": s.label, "join": _join_key(j)})
+    js = scene.joins
+    for a in range(len(js)):
+        for b in range(a + 1, len(js)):
+            ja, jb = js[a], js[b]
+            if ja.side != jb.side or abs(float(ja.x0) - float(jb.x0)) > 1e-9:
+                continue
+            if (ja.y_lo < jb.y_lo < ja.y_hi) != (ja.y_lo < jb.y_hi < ja.y_hi):
+                out.append({"kind": "join-join", "join_a": _join_key(ja), "join_b": _join_key(jb)})
+    return out
+
+
+def _value_tail_scenes():
+    """(name, scene): value scenes of exact nu with one explicit tail per
+    cylinder word, and scrambled copies.  Distinct levels share an
+    abscissa: on golden nu levels 1/4/7, 2/5 and 3/6 up to float noise,
+    on sqrt2 and slope 2 exactly."""
+    for name, nu, context, depth in (("golden", GOLD, LeftTail("101", ""), 7),
+                                     ("sqrt2", kneading_from_slope(math.sqrt(2)), LeftTail("1", ""), 6),
+                                     ("slope-2", kneading_from_slope(2.0), LeftTail("1", ""), 5)):
+        tails = [LeftTail(context.period, context.transient + w) for w in enumerate_cylinders(nu, depth)]
+        sc = build_scene(nu, context, tails=[t for t in tails if is_admissible_tail(t, nu)], x_mode="value")
+        yield name, sc
+        for seed in range(3):
+            yield f"{name} scrambled {seed}", _permute_heights(sc, random.Random(seed))
+
+
+def test_value_noncrossing_agrees_with_reference():
+    kinds = Counter()
+    for name, sc in _value_tail_scenes():
+        got = verify_noncrossing(sc)
+        assert got == ref_noncrossing_value(sc), name
+        if "scrambled" not in name:
+            assert got == [], name
+        x0 = {_join_key(j): float(j.x0) for j in sc.joins}
+        for v in got:
+            kinds[v["kind"]] += 1
+            if v["kind"] == "join-join" and x0[v["join_a"]] != x0[v["join_b"]]:
+                kinds["join-join across float noise"] += 1
+    # pairs whose abscissae differ only by float noise are compared too
+    assert min(kinds[k] for k in ("segment-join", "join-join", "join-join across float noise")) > 0, kinds
+
+
+# ------------------------------------------------------ one grid per scene
+
+
+def _count_grids(monkeypatch):
+    built = []
+    grid = scene_module._grid
+
+    def counted(sc):
+        built.append(sc)
+        return grid(sc)
+
+    monkeypatch.setattr(scene_module, "_grid", counted)
+    return built
+
+
+def test_scene_grid_is_built_once(monkeypatch):
+    built = _count_grids(monkeypatch)
+    sc = build_scene(GOLD, "(101).", depth=5)
+    assert verify_noncrossing(sc) == [] and betweenness_check(sc) == []
+    stack = build_glue_stack(sc)
+    assert collapse_certificate(stack, sc)["ok"]
+    assert built == [sc]
+
+
+def test_replaced_scene_builds_its_own_grid(monkeypatch):
+    built = _count_grids(monkeypatch)
+    sc = build_scene(GOLD, "(101).", depth=6)
+    assert betweenness_check(sc) == []
+    bad, label = _tamper(sc, random.Random(6))
+    found = betweenness_check(bad)
+    assert built == [sc, bad] and bad.grid is not sc.grid
+    assert any(v["kind"] == "foreign-symbols" and v["segment"] == label for v in found)
+
+
+def test_scene_is_immutable():
+    sc = build_scene(GOLD, "(101).", depth=4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc.segments = []
+    assert type(sc.segments) is tuple and type(sc.joins) is tuple
+    made = Scene(sc.nu, sc.context, sc.mode, sc.x_mode, list(sc.segments), list(sc.joins), depth=sc.depth)
+    assert (made.segments, made.joins) == (sc.segments, sc.joins)
+    assert type(made.segments) is tuple and type(made.joins) is tuple
+    # lists given to replace, as a tampered copy is made
+    bad, _ = _tamper(sc, random.Random(4))
+    assert type(bad.segments) is tuple and type(bad.joins) is tuple
 
 
 def test_checkers_are_output_sensitive(monkeypatch):

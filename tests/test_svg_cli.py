@@ -279,7 +279,7 @@ def test_build_scene_slope_must_have_its_nu():
 def test_render_escapes_labels_as_saxutils():
     sc = build_scene(GOLD, "(1).", tails=["(011)010.", "(011)110."])
     label = "a&b<c>d&amp;"
-    sc.segments = [replace(sc.segments[0], label=label)] + sc.segments[1:]
+    sc = replace(sc, segments=[replace(sc.segments[0], label=label), *sc.segments[1:]])
     svg = render_scene(sc)
     assert f">{escape(label)}</text>" in svg
     assert ">a&amp;b&lt;c&gt;d&amp;amp;</text>" in svg
