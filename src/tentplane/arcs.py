@@ -38,13 +38,7 @@ from math import lcm
 
 from .errors import AmbiguousAtDepth, MalformedSequence
 from .kneading import C, KneadingSequence, tail_scan, tent
-from .sequences import (
-    Comparison,
-    LeftTail,
-    Order,
-    parity,
-    plex_compare,
-)
+from .sequences import Comparison, LeftTail, parity, plex_compare
 
 TAU_INF = math.inf
 
@@ -113,23 +107,50 @@ def _landing(tail: LeftTail, nu: KneadingSequence, ks: list):
     return tl, tr, ev, od
 
 
+def _orbit_word(indices, nu: KneadingSequence) -> str:
+    """The head of nu that orders the orbit points T^i(c), i in ``indices``:
+    their itineraries repeat in lockstep T + P symbols past the latest
+    start, and no symbol past the validated depth is read."""
+    if min(indices) < 1:
+        raise IndexError("orbit indices start at 1")
+    top, d = max(indices), nu.validated_depth
+    if top - 1 >= d:
+        raise AmbiguousAtDepth(f"orbit index beyond validated depth {int(d)}", depth=int(d))
+    return nu.expand(int(min(d, top - 1 + len(nu.seq.preperiod) + len(nu.seq.period))))
+
+
 def orbit_compare(i: int, j: int, nu: KneadingSequence) -> Comparison:
     """x-order of T^i(c) versus T^j(c), read off the head of nu that decides it."""
-    if i < 1 or j < 1:
-        raise IndexError("orbit indices start at 1")
-    d = nu.validated_depth
-    if i - 1 >= d or j - 1 >= d:
-        raise AmbiguousAtDepth(f"orbit index beyond validated depth {int(d)}", depth=int(d))
-    word = nu.expand(int(min(d, max(i, j) - 1 + len(nu.seq.preperiod) + len(nu.seq.period))))
+    word = _orbit_word((i, j), nu)
     c = plex_compare(word[i - 1 :], word[j - 1 :])
     return Comparison(c.order, c.decided or nu.exact)
 
 
-def _orbit_cmp_merge(i: int, j: int, nu: KneadingSequence) -> Order:
-    # undecided at the available depth means the two cut points cannot be
-    # told apart; layout identifies them (kept under the smaller index)
-    c = orbit_compare(i, j, nu)
-    return c.order if c.decided else Order.EQUAL
+def orbit_ranks(indices, nu: KneadingSequence) -> dict:
+    """Rank of each orbit point T^i(c) in x-order, equal points sharing
+    one, from one sort of the suffixes of one ``_orbit_word``.  A pair
+    the word leaves undecided (one suffix a prefix of the other) sorts
+    shorter first, so some such pair is adjacent; a truncated nu cannot
+    order it and raises AmbiguousAtDepth, an exact nu's are equal points."""
+    idx = set(indices)
+    if not idx:
+        return {}
+    word = _orbit_word(idx, nu)
+
+    def cmp(i, j):
+        c = plex_compare(word[i - 1 :], word[j - 1 :])
+        return c.order if c.decided else j - i
+
+    ranks, prev = {}, None
+    for i in sorted(idx, key=cmp_to_key(cmp)):
+        tie = prev is not None and word.startswith(word[prev - 1 :], i - 1)
+        if tie and not nu.exact:
+            d = int(nu.validated_depth)
+            raise AmbiguousAtDepth(f"orbit points T^{min(prev, i)}(c) and T^{max(prev, i)}(c) "
+                                   f"agree over validated depth {d}", depth=d)
+        ranks[i] = ranks.get(prev, -1) + (not tie)
+        prev = i
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -140,7 +161,6 @@ class Projection:
     hi_index: int
     tau_l: object  # int, TAU_INF, or None
     tau_r: object  # int or TAU_INF
-    degenerate: bool
 
 
 def arc_projection(tail: LeftTail, nu: KneadingSequence) -> Projection:
@@ -150,12 +170,8 @@ def arc_projection(tail: LeftTail, nu: KneadingSequence) -> Projection:
 def landing_projection(tail: LeftTail, nu: KneadingSequence, ks: list) -> Projection:
     """``arc_projection`` from the tail's matches ``ks`` (as in ``_landing``)."""
     tl, tr, ev, od = _landing(tail, nu, ks)
-    # min and max keep the first of points the merge calls equal
-    x = cmp_to_key(lambda i, j: _orbit_cmp_merge(i, j, nu))
-    hi = min(ev, key=x)
-    lo = max(od, key=x) if od else 2
-    deg = _orbit_cmp_merge(lo, hi, nu) is Order.EQUAL
-    return Projection(lo, hi, tl, tr, deg)
+    rank = orbit_ranks(ev + od, nu).__getitem__
+    return Projection(max(od, key=rank) if od else 2, min(ev, key=rank), tl, tr)
 
 
 def window_projection(ks: list, nu: KneadingSequence) -> Projection:
@@ -169,17 +185,16 @@ def window_projection(ks: list, nu: KneadingSequence) -> Projection:
                 tr = k + 1
             else:
                 tl = k + 1
-    lo = tl if tl is not None else 2
-    deg = _orbit_cmp_merge(lo, tr, nu) is Order.EQUAL
-    return Projection(lo, tr, tl, tr, deg)
+    return Projection(tl if tl is not None else 2, tr, tl, tr)
 
 
 def resolve_x(indices, nu: KneadingSequence, mode: str = "rank", slope=None) -> dict:
     """Map orbit indices to x-positions.
 
-    rank mode: exact order statistics as fractions spread over [0, 1],
-    with plex-equal indices sharing one position (the orbit has landed on
-    a periodic point).  value mode: the actual orbit of the given slope.
+    rank mode: the ``orbit_ranks`` of the indices spread as fractions
+    over [0, 1], equal points (the orbit has landed on a periodic point)
+    at one position; a truncated nu that cannot order two of them raises
+    AmbiguousAtDepth.  value mode: the actual orbit of the given slope.
     """
     idx = sorted(set(indices))
     if not idx:
@@ -199,25 +214,9 @@ def resolve_x(indices, nu: KneadingSequence, mode: str = "rank", slope=None) -> 
         return out
     if mode != "rank":
         raise MalformedSequence(f"unknown x mode {mode!r}")
-    groups: list = []
-    for i in idx:
-        for gi, g in enumerate(groups):
-            order = _orbit_cmp_merge(i, g[0], nu)
-            if order is Order.EQUAL:
-                g.append(i)
-                break
-            if order is Order.LESS:
-                groups.insert(gi, [i])
-                break
-        else:
-            groups.append([i])
-    count = len(groups)
-    out = {}
-    for gi, g in enumerate(groups):
-        xv = Fraction(gi, count - 1) if count > 1 else Fraction(0)
-        for i in g:
-            out[i] = xv
-    return out
+    ranks = orbit_ranks(idx, nu)
+    top = max(ranks.values())
+    return {i: Fraction(r, top) if top else Fraction(0) for i, r in ranks.items()}
 
 
 def side_of_level(nu: KneadingSequence, m: int) -> str:

@@ -12,6 +12,7 @@ import dataclasses
 import math
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cmp_to_key
@@ -21,6 +22,7 @@ import pytest
 from conftest import figure_labels, figure_nu, figure_tails, random_kneading, random_tail
 
 from tentplane import (
+    AmbiguousAtDepth,
     LeftTail,
     SceneJoin,
     accessibility_probe,
@@ -45,6 +47,7 @@ from tentplane import (
     support_certificate,
     verify_noncrossing,
 )
+from tentplane.arcs import orbit_compare
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -127,7 +130,8 @@ def test_c2_reference_pair_projection(verdict):
             p = arc_projection(t, nu)
             assert (p.tau_l, p.tau_r) == (3, 1)
             assert (p.lo_index, p.hi_index) == (3, 1)
-            assert not p.degenerate
+            xs = resolve_x([3, 1], nu)
+            assert xs[3] != xs[1]
         joins = boundary_pairs([a, b], nu)
         assert [(j.level, j.side) for j in joins] == [(3, "left")]
         pos = resolve_x([1, 3], nu, mode="value", slope=GOLDEN)
@@ -157,8 +161,16 @@ def test_c3_twelve_tail_orders(verdict):
         assert len(partnership(sc1)) == 11
 
 
+def _decided(nu, depth):
+    # nu orders every pair of the orbit points a depth-n scene can place
+    top = depth + 1 if nu.exact else min(depth + 1, int(nu.validated_depth))
+    return all(orbit_compare(i, j, nu).decided
+               for i in range(1, top + 1) for j in range(i + 1, top + 1))
+
+
 def test_c4_noncrossing_sweep(verdict):
     with verdict("C4", 30.0):
+        layouts = Counter()
         rng = random.Random(2026)
         nus = [kneading_from_slope(2.0),
                kneading_from_slope(GOLDEN),
@@ -185,9 +197,19 @@ def test_c4_noncrossing_sweep(verdict):
                 dmax = d
             for L in ctxs:
                 for d in sorted({3, dmax}):
+                    if not _decided(nu, d):
+                        # a truncated nu that cannot order two points
+                        # the layout needs refuses the layout
+                        with pytest.raises(AmbiguousAtDepth):
+                            build_scene(nu, L, depth=d)
+                        layouts[False] += 1
+                        continue
                     sc = build_scene(nu, L, depth=d)
                     assert verify_noncrossing(sc) == [], (str(nu), str(L), d)
                     assert betweenness_check(sc) == [], (str(nu), str(L), d)
+                    layouts[True] += 1
+        # every layout of the sweep is kept: decided ones and refused ones
+        assert layouts == {True: 140, False: 90}, layouts
         # negative controls: scrambled heights must trip the checkers
         sc = build_scene(nus[1], "(101).", depth=6)
         caught = sum(

@@ -147,7 +147,7 @@ def test_stack_structure():
 
 
 def _seg(label, ternary, x_lo, x_hi, tail):
-    proj = Projection(2, 1, 2, 1, False)
+    proj = Projection(2, 1, 2, 1)
     return Segment(label, parse_ternary(ternary), proj, x_lo, x_hi, tail=parse_left(tail))
 
 

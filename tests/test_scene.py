@@ -10,7 +10,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import figure_nu, figure_tails, figure_labels, random_kneading, random_tail
-from test_arcs import _oracle_pool, oracle_pool_nus, ref_landing_projection, ref_window_projection
+from test_arcs import (
+    MERGED,
+    _oracle_pool,
+    oracle_pool_nus,
+    ref_landing_projection,
+    ref_resolve_x,
+    ref_window_projection,
+)
 
 from tentplane import (
     AmbiguousAtDepth,
@@ -32,12 +39,11 @@ from tentplane import (
     is_admissible_tail,
     kneading_from_slope,
     parse_left,
-    resolve_x,
     scene_from_json,
     scene_to_json,
     verify_noncrossing,
 )
-from tentplane.arcs import Join, flip_at, match_window, side_of_level
+from tentplane.arcs import Join, _landing, flip_at, match_window, scan_tails, side_of_level
 from tentplane.cantor import CantorCoordinate
 from tentplane.cli import main
 from tentplane.kneading import head_matches, kneading_from_text, tail_scan
@@ -250,13 +256,14 @@ def test_scene_from_json_rejects_malformed():
             scene_from_json(json.dumps(data))
 
 
-@pytest.mark.xfail(strict=True, reason="rank layout merges orbit points a truncated nu cannot order")
 def test_truncated_nu_deeper_than_decided():
-    nu = KneadingSequence(RightSeq("10111101110101", "0"), validated_depth=14.0)
-    try:
-        sc = build_scene(nu, "(0111)1.", depth=13)
-    except AmbiguousAtDepth:
-        return
+    # past depth 10 the layout needs orbit points nu cannot order
+    for depth in (11, 12, 13):
+        with pytest.raises(AmbiguousAtDepth, match=r" agree over validated depth 14$"):
+            build_scene(TRUNCATED_NU, "(0111)1.", depth=depth)
+    # the deepest depth it decides draws a planar scene
+    sc = build_scene(TRUNCATED_NU, "(0111)1.", depth=10)
+    assert len(sc.segments) == 84
     assert verify_noncrossing(sc) == [] and betweenness_check(sc) == []
 
 
@@ -451,9 +458,31 @@ def _on_arc(scene):
     return dataclasses.replace(scene, segments=[a, b, d, c], joins=joins)
 
 
-def _oracle_scenes():
+def _drawn(nu, context, **kwargs):
+    """(scene, merged): where the merge reference met no comparison nu
+    leaves undecided, build_scene draws its scene; where it met one,
+    build_scene raises AmbiguousAtDepth and the merge's scene stands in
+    as a checker input."""
+    MERGED.clear()
+    ref = ref_build_scene(nu, context, **kwargs)
+    if MERGED:
+        with pytest.raises(AmbiguousAtDepth):
+            build_scene(nu, context, **kwargs)
+        return ref, True
+    sc = build_scene(nu, context, **kwargs)
+    assert scene_to_dict(sc) == scene_to_dict(ref), (str(nu), str(context), kwargs)
+    return sc, False
+
+
+def _oracle_scenes(merges):
     """(name, scene): rank cylinder and explicit-tail scenes, scrambled
-    controls and the truncated-nu scene."""
+    controls and the truncated-nu scene the merge drew; whether each
+    drawn scene met a merge is added to ``merges``."""
+    def drawn(*args, **kwargs):
+        sc, merged = _drawn(*args, **kwargs)
+        merges.add(merged)
+        return sc
+
     rng = random.Random(4)
     for name, nu in (("slope-2", kneading_from_slope(2.0)), ("golden", GOLD),
                      ("sqrt2", kneading_from_slope(math.sqrt(2)))):
@@ -464,23 +493,23 @@ def _oracle_scenes():
                 ctxs.append(L)
         for L in ctxs:
             for d in range(3, 11):
-                yield f"{name} {L} depth {d}", build_scene(nu, L, depth=d)
+                yield f"{name} {L} depth {d}", drawn(nu, L, depth=d)
     tails = figure_tails()
-    fig = build_scene(figure_nu(), "(1).", tails=tails + [parse_left("(1).")])
+    fig = drawn(figure_nu(), "(1).", tails=tails + [parse_left("(1).")])
     yield "figure (1).", fig
-    yield "figure N6", build_scene(figure_nu(), tails[5], tails=tails)
-    gold6 = build_scene(GOLD, "(101).", depth=6)
+    yield "figure N6", drawn(figure_nu(), tails[5], tails=tails)
+    gold6 = drawn(GOLD, "(101).", depth=6)
     for seed in range(10):
         yield f"figure scrambled {seed}", _permute_heights(fig, random.Random(seed))
         yield f"golden scrambled {seed}", _permute_heights(gold6, random.Random(seed))
         yield f"golden fan {seed}", _fan(gold6, random.Random(seed))
     yield "on the arc", _on_arc(gold6)
-    yield "truncated nu", build_scene(TRUNCATED_NU, "(0111)1.", depth=13)
+    yield "truncated nu", drawn(TRUNCATED_NU, "(0111)1.", depth=13)
 
 
 def test_checkers_agree_with_reference():
-    kinds = set()
-    for name, sc in _oracle_scenes():
+    kinds, merges = set(), set()
+    for name, sc in _oracle_scenes(merges):
         assert sc.x_mode == "rank"
         got = verify_noncrossing(sc)
         assert got == _reference_noncrossing(sc), name
@@ -490,6 +519,8 @@ def test_checkers_agree_with_reference():
         if name == "truncated nu":
             assert len(got + between) == 52
     assert kinds == {"segment-join", "join-join", "foreign-symbols", "x-overreach"}
+    # scenes build_scene draws as the merge did, and one it refuses
+    assert merges == {False, True}
 
 
 def _tamper(scene, rng):
@@ -767,7 +798,7 @@ def ref_build_scene(nu, context, *, tails=None, depth=None, x_mode="rank", slope
         indices.add(e[4].hi_index)
     for j in raw:
         indices.add(j.level)
-    xs = resolve_x(indices, nu, mode=x_mode, slope=slope)
+    xs = ref_resolve_x(indices, nu, mode=x_mode, slope=slope)
     segments = []
     for label, tail, word, y, proj in entries:
         segments.append(Segment(label, y, proj, xs[proj.lo_index], xs[proj.hi_index], tail=tail, word=word))
@@ -795,9 +826,17 @@ def _built(build, *args, **kwargs):
 
 
 def _agree(*args, **kwargs):
+    """build_scene's outcome and whether the merge reference met a
+    comparison nu leaves undecided: if it did, build_scene raises
+    AmbiguousAtDepth, else both give the same scene or error."""
     got = _built(build_scene, *args, **kwargs)
-    assert got == _built(ref_build_scene, *args, **kwargs), (args, kwargs)
-    return got
+    MERGED.clear()
+    want = _built(ref_build_scene, *args, **kwargs)
+    if MERGED:
+        assert got[0] is AmbiguousAtDepth, (args, kwargs)
+    else:
+        assert got == want, (args, kwargs)
+    return got, bool(MERGED)
 
 
 def test_cylinder_scenes_agree_with_reference():
@@ -811,7 +850,7 @@ def test_cylinder_scenes_agree_with_reference():
         if str(n) not in seen:
             seen.add(str(n))
             nus.append(n)
-    joins = 0
+    joins, merges = 0, Counter()
     for nu in nus:
         ctxs, used = [], set()
         while len(ctxs) < 5:
@@ -826,20 +865,27 @@ def test_cylinder_scenes_agree_with_reference():
             dmax = d
         for i, L in enumerate(ctxs):
             for d in range(3, dmax + 1) if i == 0 else sorted({3, dmax}):
-                got = _agree(nu, L, depth=d)
-                joins += len(got[0]["joins"])
+                got, merged = _agree(nu, L, depth=d)
+                merges[merged] += 1
+                if not merged:
+                    joins += len(got[0]["joins"])
     assert joins > 5_000
+    # layouts drawn as the merge drew them, and layouts it merged
+    assert merges[False] and merges[True], merges
 
 
 def test_tail_scenes_agree_with_reference():
     tails = figure_tails()
     for ctx in ("(1).", tails[5]):
-        assert len(_agree(figure_nu(), ctx, tails=tails)[0]["joins"]) == 11
+        assert len(_agree(figure_nu(), ctx, tails=tails)[0][0]["joins"]) == 11
     # (011). matches nu up to 19 symbols, past its match window of 7 and
     # the longest transient: the landing reads its matches up to 7 only
+    # the scene needs T^5(c) and T^8(c) ordered, which agree over all 20
     past = KneadingSequence(RightSeq("", "101"), validated_depth=20.0)
-    rows, projections = _agree(past, "(101).", tails=["(011).", "(101).", "(1)0101101101."])
-    assert {r["tail"]: p.tau_l for r, p in zip(rows["segments"], projections)}["(011)."] == 8
+    tails = [parse_left(t) for t in ("(011).", "(101).", "(1)0101101101.")]
+    assert _agree(past, "(101).", tails=tails) == ((AmbiguousAtDepth, "orbit points T^5(c) and T^8(c) "
+                                                    "agree over validated depth 20"), True)
+    assert _landing(tails[0], past, scan_tails(tails, past)[tails[0]].landing)[0] == 8
     rng = random.Random(43)
     nus = oracle_pool_nus(rng)
     kinds = Counter()
@@ -853,11 +899,14 @@ def test_tail_scenes_agree_with_reference():
             items.insert(rng.randrange(len(items) + 1), LeftTail("1" * rng.randint(2, 3), "0"))
         context = random_tail(rng, nu)
         for x_mode in ("rank", "value"):
-            got = _agree(nu, context, tails=items, x_mode=x_mode)
+            got, merged = _agree(nu, context, tails=items, x_mode=x_mode)
             kinds[got[0] if isinstance(got[0], type) else ("joins", x_mode, bool(got[0]["joins"]))] += 1
-    # scenes with and without joins in both modes, and every error kind
+            kinds[("merged", x_mode, merged)] += 1
+    # scenes with and without joins in both modes, every error kind, and
+    # in both modes scenes drawn as the merge drew them and merged ones
     assert {("joins", m, j) for m in ("rank", "value") for j in (True, False)} <= set(kinds)
     assert {NotAdmissible, AmbiguousAtDepth, MalformedSequence} <= set(kinds)
+    assert {("merged", m, b) for m in ("rank", "value") for b in (True, False)} <= set(kinds), kinds
 
 
 def test_malformed_tail_reported_before_inadmissible_one(tmp_path):

@@ -219,7 +219,7 @@ def test_cli_scene_commands_refuse_tampered_file(tmp_path):
     assert not svg.exists()
 
 
-def test_cli_verify_scene_file_trusted_far_past_its_word(tmp_path, monkeypatch):
+def test_cli_verify_scene_file_trusted_far_past_its_word(tmp_path, monkeypatch, capsys):
     # a validated depth far past the stored word reads no more of nu than
     # the questions need
     expand = RightSeq.expand
@@ -229,16 +229,44 @@ def test_cli_verify_scene_file_trusted_far_past_its_word(tmp_path, monkeypatch):
         return expand(self, n)
 
     monkeypatch.setattr(RightSeq, "expand", bounded)
-    # the second file's slope is checked against its nu as well
-    for argv in (["--nu", "(101)", "--L", "(1).", "--depth", "6"],
-                 ["--slope", str((1 + math.sqrt(5)) / 2), "--L", "(101).",
-                  "--tails", "(011)010.", "(011)110.", "--x-mode", "value"]):
+    # the rank layout places orbit points the stored (101) repeats, which
+    # no finite validated depth orders; the second file's value layout
+    # orders only its arcs' ends, and its slope is checked against its nu
+    for argv, ranked in ((["--nu", "(101)", "--L", "(1).", "--depth", "6"], True),
+                         (["--slope", str((1 + math.sqrt(5)) / 2), "--L", "(101).",
+                           "--tails", "(011)010.", "(011)110.", "--x-mode", "value"], False)):
         path = _written_scene(tmp_path, *argv)
         data = json.loads(path.read_text())
         for depth in (10**9, 10**15):
             data["validated_depth"] = depth
             path.write_text(json.dumps(data))
-            assert run("verify", "--scene", str(path)) == (0, "0 violation(s)\n"), (argv, depth)
+            capsys.readouterr()
+            if ranked:
+                assert run("verify", "--scene", str(path)) == (2, ""), (argv, depth)
+                err = capsys.readouterr().err
+                assert err.startswith("error: orbit points ") and err.endswith(f" agree over validated depth {depth}\n")
+                assert err.count("\n") == 1, err
+            else:
+                assert run("verify", "--scene", str(path)) == (0, "0 violation(s)\n"), (argv, depth)
+
+
+def test_cli_scene_file_nu_cannot_order(tmp_path, capsys):
+    # nu = 10111101110101(0) validated to 14 orders every orbit point a
+    # depth-10 layout of context (0111)1. places, but not those of depth 13
+    nu = KneadingSequence(RightSeq("10111101110101", "0"), validated_depth=14.0)
+    path = tmp_path / "deep.json"
+    path.write_text(scene_to_json(build_scene(nu, "(0111)1.", depth=10)))
+    assert run("verify", "--scene", str(path)) == (0, "0 violation(s)\n")
+    data = json.loads(path.read_text())
+    assert data["validated_depth"] == 14
+    data["depth"] = 13
+    path.write_text(json.dumps(data))
+    for cmd in ("verify", "glue", "render", "probe"):
+        capsys.readouterr()
+        assert run(cmd, "--scene", str(path)) == (2, ""), cmd
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (cmd, err)
+        assert "validated depth 14" in err and "Traceback" not in err, (cmd, err)
 
 
 def test_cli_scene_file_slope_must_have_its_nu(tmp_path, capsys):
