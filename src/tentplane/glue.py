@@ -15,9 +15,14 @@ module exposes certificates: sampled assertions that stage supports stay
 inside their allotted region, points move at most once across all
 stages, per-stage displacements stay within the region diameter, the
 collapse is injective on bulges, and the glued picture stays below the
-ceiling.  Four of them read one sample pass, memoized on the regions'
-floats and the scene object.  Tests freeze these into pass/fail facts
-for concrete scenes.
+ceiling.  Points go through the stages in one sparse pass: a stage
+skips every point farther than 2 eps outside its innermost or
+outermost radius, which it provably fixes, and the pass records only
+the stages that change a point's image.  Four certificates read one
+such pass over the scene's samples, memoized on the regions' floats and
+the scene object; collapse and the probe each make one pass over their
+own points.  Tests freeze these into pass/fail facts for concrete
+scenes.
 
 ``collapse_profile``/``fiber_collapse`` are the one-dimensional model
 squeeze used by the charts, kept exact (piecewise linear, rational in,
@@ -226,27 +231,47 @@ def stage_map(region: GlueRegion, point) -> tuple:
     return (nx, ny)
 
 
-def stage_path(stack, point) -> list:
-    """The point, then its image after each stage, shallowest first."""
-    path = [(float(point[0]), float(point[1]))]
-    for region in stack:
-        path.append(stage_map(region, path[-1]))
-    return path
+class _Move(NamedTuple):
+    stage: int  # 0-based position in the stack
+    before: tuple
+    after: tuple
+    hop: float  # distance from before to after
 
 
-def _hops(path) -> list:
-    # distance moved by each stage along a stage path
-    return [math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in zip(path, path[1:])]
+def _moves(regions, points) -> tuple:
+    """Run a batch of points through the stages, shallowest first.
+
+    Returns, per point, the stages that change its image, as _Moves in
+    stage order, and then each point's final image.  A point whose
+    distance from a stage's chart center lies outside [r0 - 2 eps,
+    r_max + 2 eps] sits at least eps from every radius, so its strength
+    is at least 1 and the stage fixes it; it is skipped.  Every other
+    point goes through ``stage_map``, so images are those of composing
+    the stage maps, bit for bit."""
+    cur = [(float(p[0]), float(p[1])) for p in points]
+    moves = [[] for _ in cur]
+    for k, region in enumerate(regions):
+        x0, cy, radii = region.x0, region.chart.center_y, region.chart.radii
+        lo, hi = radii[0] - 2 * region.eps, radii[-1] + 2 * region.eps
+        for i, p in enumerate(cur):
+            rho = math.hypot(p[0] - x0, p[1] - cy)
+            if rho < lo or rho > hi:
+                continue
+            q = stage_map(region, p)
+            if q != p:
+                moves[i].append(_Move(k, p, q, math.hypot(q[0] - p[0], q[1] - p[1])))
+            cur[i] = q
+    return moves, cur
 
 
 def apply_gluing(stack, point) -> tuple:
     """Compose the stages, shallowest first."""
-    return stage_path(stack, point)[-1]
+    return _moves(stack, [point])[1][0]
 
 
 def moved_stages(stack, point) -> list:
     """Indices (1-based prefix positions) of stages that move the point."""
-    return [i for i, d in enumerate(_hops(stage_path(stack, point)), 1) if d > _MOVE_TOL]
+    return [m.stage + 1 for m in _moves(stack, [point])[0][0] if m.hop > _MOVE_TOL]
 
 
 def in_region(region: GlueRegion, point, slack: float = 0.0) -> bool:
@@ -292,12 +317,12 @@ def _sample_floats(scene: Scene) -> array:
 
 class _SamplePass(NamedTuple):
     points: tuple  # scene_samples
-    paths: tuple  # stage_path of each point
-    hops: tuple  # _hops of each path
+    moves: tuple  # the _Moves of each point
+    finals: tuple  # each point's image after every stage
 
 
 def _sample_pass(stack, scene: Scene) -> _SamplePass:
-    """The scene's samples, each with one stage path, shared by the
+    """The scene's samples, run once through the stages, shared by the
     sampled certificates.  Keyed by the regions, the floats their stage
     maps read, bit for bit (-0.0 == 0.0 in Python, yet a stage map can
     tell them apart), and the scene object: a scene is immutable, so a
@@ -313,8 +338,8 @@ def _sample_pass(stack, scene: Scene) -> _SamplePass:
 def _sample_pass_memo(regions: tuple, floats: bytes, scene: Scene) -> _SamplePass:
     # ``floats`` only keys the memo; the stage maps read the regions
     points = tuple(scene_samples(scene))
-    paths = tuple(stage_path(regions, p) for p in points)
-    return _SamplePass(points, paths, tuple(_hops(path) for path in paths))
+    moves, finals = _moves(regions, points)
+    return _SamplePass(points, tuple(moves), tuple(finals))
 
 
 def support_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
@@ -323,16 +348,16 @@ def support_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
     sp = _sample_pass(stack, scene)
     bad_support = []
     bad_repeat = []
-    for p, path, hops in zip(sp.points, sp.paths, sp.hops):
-        moved = [i for i, d in enumerate(hops) if d > _MOVE_TOL]
-        for i in moved:
+    for p, moves in zip(sp.points, sp.moves):
+        moved = [m for m in moves if m.hop > _MOVE_TOL]
+        for m in moved:
             if not (
-                in_carved_region(stack, i, path[i], tol)
-                and in_carved_region(stack, i, path[i + 1], tol)
+                in_carved_region(stack, m.stage, m.before, tol)
+                and in_carved_region(stack, m.stage, m.after, tol)
             ):
-                bad_support.append((p, stack[i].level))
+                bad_support.append((p, stack[m.stage].level))
         if len(moved) > 1:
-            bad_repeat.append((p, [stack[i].level for i in moved]))
+            bad_repeat.append((p, [stack[m.stage].level for m in moved]))
     return {
         "ok": not bad_support and not bad_repeat,
         "samples": len(sp.points),
@@ -347,13 +372,13 @@ def displacement_certificate(stack, scene: Scene, tol: float = 1e-9) -> dict:
     sp = _sample_pass(stack, scene)
     worst = 0.0
     bad = []
-    for p, hops in zip(sp.points, sp.hops):
-        for region, d in zip(stack, hops):
-            if d > 0:
-                lim = region.chart.region_diam
-                worst = max(worst, d / lim)
-                if d > lim + tol:
-                    bad.append((p, region.level, d, lim))
+    for p, moves in zip(sp.points, sp.moves):
+        for m in moves:
+            region = stack[m.stage]
+            lim = region.chart.region_diam
+            worst = max(worst, m.hop / lim)
+            if m.hop > lim + tol:
+                bad.append((p, region.level, m.hop, lim))
     return {"ok": not bad, "samples": len(sp.points), "worst_ratio": worst, "failures": bad}
 
 
@@ -364,8 +389,19 @@ def cauchy_certificate(stack, scene: Scene, tol: float = 1e-9) -> dict:
     diams = [r.chart.region_diam for r in stack]
     # lims[n][m - n - 1]: the largest diameter of stages n+1..m
     lims = [list(accumulate(diams[n:], max, initial=0.0))[1:] for n in range(len(stack))]
+    # no window's limit is below the least diameter, so when that plus
+    # tol is not negative only a point that moves can fail, and a point
+    # that moves once fails only on a pair spanning its move, whose gap
+    # is that move's hop
+    quiet = min(diams, default=0.0) + tol >= 0
     bad = []
-    for p, images in zip(sp.points, sp.paths):
+    for p, moves in zip(sp.points, sp.moves):
+        if quiet and (
+            not moves or len(moves) == 1 and moves[0].hop <= diams[moves[0].stage] + tol
+        ):
+            continue
+        after = {m.stage: m.after for m in moves}
+        images = list(accumulate(range(len(stack)), lambda q, k: after.get(k, q), initial=p))
         for n, row in enumerate(lims):
             xn, yn = images[n]
             for m, (xm, ym), lim in zip(count(n + 1), images[n + 1 :], row):
@@ -378,7 +414,7 @@ def cauchy_certificate(stack, scene: Scene, tol: float = 1e-9) -> dict:
 def collapse_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
     """Every bulge lands on its own apex, one apex per radius."""
     levels = dict(_levels(scene))
-    bad = []
+    bulges = []  # (level, angle, apex, point on the bulge)
     apexes: dict = {}  # per level, across regions
     for region in stack:
         sgn = 1 if region.side == "right" else -1
@@ -390,9 +426,11 @@ def collapse_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
             for u in (-0.5, -0.3, 0.0, 0.3, 0.5):
                 t = u * math.pi
                 p = (region.x0 + sgn * r * math.cos(t), cy + r * math.sin(t))
-                q = apply_gluing(stack, p)
-                if math.hypot(q[0] - apex[0], q[1] - apex[1]) > tol:
-                    bad.append((j.level, u, q, apex))
+                bulges.append((j.level, u, apex, p))
+    bad = []
+    for (level, u, apex, _), q in zip(bulges, _moves(stack, [b[3] for b in bulges])[1]):
+        if math.hypot(q[0] - apex[0], q[1] - apex[1]) > tol:
+            bad.append((level, u, q, apex))
     sep_ok = not any(
         math.hypot(a[0] - b[0], a[1] - b[1]) <= tol for pts in apexes.values() for a, b in combinations(pts, 2)
     )
@@ -402,7 +440,7 @@ def collapse_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
 def ceiling_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
     """Nothing drawn at or below height 1 ends up above it."""
     sp = _sample_pass(stack, scene)
-    ends = [(p, path[-1]) for p, path in zip(sp.points, sp.paths) if p[1] <= 1 + 1e-12]
+    ends = [(p, q) for p, q in zip(sp.points, sp.finals) if p[1] <= 1 + 1e-12]
     worst = 0.0
     bad = []
     for p, q in ends:
@@ -494,13 +532,16 @@ def accessibility_probe(
     moved_hits = 0
     nsamples = 0
     if witness is None:
-        for k in range(1, _PROBE_STEPS + 1):
-            y = ty + (top - ty) * k / _PROBE_STEPS
-            nsamples += 1
-            if moved_stages(stack, (x, y)):
-                moved_hits += 1
-                witness = {"kind": "glue-motion", "y": y}
-                break
+        ys = [ty + (top - ty) * k / _PROBE_STEPS for k in range(1, _PROBE_STEPS + 1)]
+        moves = _moves(stack, [(x, y) for y in ys])[0]
+        nsamples = next(
+            (k for k, ms in enumerate(moves, 1) if any(m.hop > _MOVE_TOL for m in ms)), None
+        )
+        if nsamples is None:
+            nsamples = _PROBE_STEPS
+        else:
+            moved_hits = 1
+            witness = {"kind": "glue-motion", "y": ys[nsamples - 1]}
 
     return ProbeReport(
         accessible=witness is None,

@@ -1,5 +1,7 @@
 """Fiber squeeze, glue charts, certificates, and the probe."""
 import math
+import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import figure_nu, figure_tails
+from conftest import figure_nu, figure_tails, random_tail
 
 from tentplane import glue
 from tentplane import (
@@ -39,6 +41,7 @@ from tentplane.glue import (
     stage_map,
 )
 from tentplane.scene import Scene, SceneJoin, Segment
+from tentplane.sequences import LeftTail
 
 GOLD = kneading_from_slope((1 + math.sqrt(5)) / 2)
 CERTS = (
@@ -257,6 +260,15 @@ def test_certificates_value_mode():
         assert fn(stack, sc)["ok"], fn.__name__
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect: eps = 1e-4 x margin is close to the float noise of a point "
+    "on a deep bulge, so its strength is not 0 and it misses its apex "
+    "(128 failures), and adjacent apexes lie within the 1e-6 test"))
+def test_collapse_golden_depth_14():
+    sc = build_scene(GOLD, "(101).", depth=14)
+    assert collapse_certificate(build_glue_stack(sc), sc)["ok"]
+
+
 # ------------------------------------------------------------------ oracle
 # The stage map and region tests as first written, converting every
 # Fraction on each call and scanning every radius; and the certificates
@@ -416,36 +428,65 @@ def test_certificates_agree_with_reference(make):
             full = fn(stack, sc, tol=-1.0)
             assert full == ref(stack, sc, tol=-1.0), fn.__name__
             assert not full["ok"]
+            # no window limit is negative, yet every move at the stage of
+            # least diameter fails
+            tight = -min(float(r.region_diam) for r in stack)
+            assert fn(stack, sc, tol=tight) == ref(stack, sc, tol=tight), fn.__name__
+
+
+def _in_annulus(region, p):
+    # inside [r0 - 2 eps, r_max + 2 eps] around the chart center
+    rs = region.chart.radii
+    rho = math.hypot(p[0] - region.x0, p[1] - region.chart.center_y)
+    return rs[0] - 2 * region.eps <= rho <= rs[-1] + 2 * region.eps
 
 
 def test_certificates_share_one_sample_pass(monkeypatch):
     sc = build_scene(GOLD, "(101).", depth=5)
     stack = build_glue_stack(sc)
-    calls = []
-    real = glue.stage_path
+    passes, mapped = [], []
+    real_moves, real_map = glue._moves, glue.stage_map
 
-    def counted(stack, point):
-        calls.append(point)
-        return real(stack, point)
+    def counted(regions, points):
+        passes.append(len(points))
+        return real_moves(regions, points)
 
-    monkeypatch.setattr(glue, "stage_path", counted)
+    def seen(region, point):
+        mapped.append((region, point))
+        return real_map(region, point)
+
+    monkeypatch.setattr(glue, "_moves", counted)
+    monkeypatch.setattr(glue, "stage_map", seen)
     converted = []
     real_floats = glue._sample_floats
     monkeypatch.setattr(glue, "_sample_floats", lambda scene: converted.append(scene) or real_floats(scene))
     # the memo holds one pass: certify a trimmed stack first, so the run
     # below starts without one for (stack, sc)
     support_certificate(stack[:-1], sc)
-    samples, joins = len(scene_samples(sc)), len(sc.joins)
-    # one path per sample, shared by four certificates; collapse follows
-    # five points per join; the scene is converted to floats on a miss
-    # only
-    for expected, conversions in ((samples + 5 * joins, 1), (5 * joins, 0)):
-        calls.clear()
+    samples, joins = scene_samples(sc), len(sc.joins)
+    # one pass over the samples on a memo miss, shared by four
+    # certificates; one pass over five points per join for collapse; the
+    # scene is converted to floats on a miss only
+    for expected, conversions in (([len(samples), 5 * joins], 1), ([5 * joins], 0)):
+        passes.clear()
+        mapped.clear()
         converted.clear()
         for fn in CERTS:
             assert fn(stack, sc)["ok"], fn.__name__
-        assert len(calls) == expected
+        assert passes == expected
         assert len(converted) == conversions
+        assert mapped and all(_in_annulus(region, p) for region, p in mapped)
+    # the stage maps see a sample at each stage whose annulus holds its
+    # image so far, and nowhere else
+    in_reach = 0
+    for p in samples:
+        for region in stack:
+            if _in_annulus(region, p):
+                in_reach += 1
+                p = _ref_stage_map(region, p)
+    mapped.clear()
+    glue._moves(stack, samples)
+    assert len(mapped) == in_reach < len(samples) * len(stack)
 
 
 def test_sample_pass_memo_is_keyed_by_value():
@@ -485,15 +526,18 @@ def test_sample_pass_memo_is_keyed_by_value():
 
 def _edge_radii(region):
     """Distances from the chart center that sit on each float radius and
-    one ulp either side, inside and outside its tube, midway between
-    neighbouring radii, inside the smallest, beyond the largest, and on
-    the collar's rim and one ulp either side."""
+    one ulp either side, inside and outside its tube, on either side of
+    the sparse pass's 2 eps skip margin, midway between neighbouring
+    radii, inside the smallest, beyond the largest, and on the collar's
+    rim and one ulp either side."""
     ch = region.chart
     rs = ch.radii
-    out = [0.0, rs[0] / 2, rs[-1] * 2, rs[-1] + region.eps / 2]
+    eps = region.eps
+    out = [0.0, rs[0] / 2, rs[-1] * 2, rs[-1] + eps / 2]
     for r in rs + (ch.r_outer,):
         out += [r, math.nextafter(r, 0.0), math.nextafter(r, 2.0),
-                r - region.eps / 2, r + region.eps / 3, r + 2 * region.eps]
+                r - eps / 2, r + eps / 3, r - 3 * eps / 4, r + 3 * eps / 4,
+                r - 2 * eps, r + 2 * eps, r - 3 * eps, r + 3 * eps]
     return out + [(a + b) / 2 for a, b in zip(rs, rs[1:])]
 
 
@@ -536,6 +580,21 @@ def test_chart_maps_agree_with_reference(make, most_radii):
         for i, r in enumerate(stack):
             for p in samples + edges[id(r)]:
                 assert in_carved_region(stack, i, p, 1e-6) == _ref_in_carved_region(stack, i, p, 1e-6)
+        # the sparse pass, stage by stage: a move wherever the reference
+        # image changes, and the same image after every stage
+        points = samples + [p for r in dict.fromkeys(stack) for p in edges[id(r)]]
+        moves, finals = glue._moves(stack, points)
+        moved = 0
+        for p, got, final in zip(points, moves, finals):
+            want, cur = [], (float(p[0]), float(p[1]))
+            for k, region in enumerate(stack):
+                q = _ref_stage_map(region, cur)
+                if q != cur:
+                    want.append((k, cur, q, math.hypot(q[0] - cur[0], q[1] - cur[1])))
+                cur = q
+            assert got == want and final == cur
+            moved += bool(want)
+        assert moved
 
 
 # ------------------------------------------------------------------- probe
@@ -597,7 +656,7 @@ def test_probe_glue_motion_witness():
     rep = accessibility_probe(sc, [wide], x=0.5)
     assert not rep.accessible
     assert rep.witness["kind"] == "glue-motion"
-    assert rep.moved_stage_hits == 1 and rep.samples >= 1
+    assert rep.moved_stage_hits == 1 and rep.samples == 1
 
 
 def test_probe_cylinder_target():
@@ -606,3 +665,63 @@ def test_probe_cylinder_target():
     rep = accessibility_probe(sc, stack, x=0.75)
     assert rep.target_label == "111111"
     assert rep.accessible
+
+
+def ref_probe_motion(stack, x, ty, top):
+    """The probe's glue loop as first written: each sample in turn, up
+    from the target, through every stage until one moves it."""
+    for k in range(1, 65):
+        y = ty + (top - ty) * k / 64
+        cur = (x, y)
+        moved = False
+        for region in stack:
+            q = _ref_stage_map(region, cur)
+            moved = moved or math.hypot(q[0] - cur[0], q[1] - cur[1]) > 1e-12
+            cur = q
+        if moved:
+            return {"kind": "glue-motion", "y": y}, k, 1
+    return None, 64, 0
+
+
+def _probe_against_reference(sc, stack, tail, x, strict):
+    rep = accessibility_probe(sc, stack, tail=tail, x=x, strict=strict)
+    if rep.witness is not None and rep.witness["kind"] != "glue-motion":
+        assert (rep.samples, rep.moved_stage_hits) == (0, 0)
+    else:
+        ty = float(next(s for s in sc.segments if s.label == rep.target_label).y.value)
+        want = ref_probe_motion(stack, x, ty, max(2.0, ty + 1.0))
+        assert (rep.witness, rep.samples, rep.moved_stage_hits) == want
+    return rep.witness["kind"] if rep.witness else None, rep.samples
+
+
+def test_probe_agrees_with_reference():
+    # C9's scenes, with their stacks as built and with tubes widened
+    # until some reach a probe; strict on the top arc, non-strict on
+    # every arc, at both ends and the middle of the target
+    seen = Counter()
+    for slope in (2.0, (1 + math.sqrt(5)) / 2, math.sqrt(2)):
+        nu = kneading_from_slope(slope)
+        rng = random.Random(99)
+        for _ in range(10):
+            L = random_tail(rng, nu)
+            sc = build_scene(nu, L, depth=6)
+            built = build_glue_stack(sc)
+            for stack in (built, [replace(r, eps=r.eps * 10**4) for r in built]):
+                for seg in sc.segments:
+                    probes = [(LeftTail(L.period, seg.word), False)]
+                    if seg.word == L.window(6):
+                        probes.append((L, True))
+                    for x in (float(seg.x_lo), (float(seg.x_lo) + float(seg.x_hi)) / 2, float(seg.x_hi)):
+                        for tail, strict in probes:
+                            seen[_probe_against_reference(sc, stack, tail, x, strict)[0]] += 1
+    assert seen.keys() == {None, "segment", "glue-motion"}, seen
+    # one tube, placed ever higher over one arc: the first moved sample
+    # climbs through the probe
+    a = _seg("A", "0(1)", 0.0, 1.0, "(101)0.")
+    sc = Scene(GOLD, parse_left("(101)0."), "tails", "value", [a], [], slope=2.0)
+    counts = set()
+    for cy in range(2, 17):
+        for x in (0.1, 0.3, 0.5, 0.7):
+            ring = GlueRegion(1, "right", 0.5, Fraction(cy, 8), (Fraction(1, 4),), 1 / 64)
+            counts.add(_probe_against_reference(sc, [ring], None, x, True)[1])
+    assert len(counts) > 20 and {3, 64} <= counts, counts
