@@ -86,7 +86,7 @@ def _landing(tail: LeftTail, nu: KneadingSequence, ks: list):
     """
     t0, step = _joint(tail, nu)
     ms = [k + 1 for k in ks]
-    pclass = {n: parity(nu.expand(n - 1)) for n in ms}
+    pclass = {n: nu.head_parity(n - 1) for n in ms}
     inf: set = set()
     if nu.exact:
         mset = set(ms)
@@ -181,7 +181,7 @@ def window_projection(ks: list, nu: KneadingSequence) -> Projection:
     tl, tr = None, 1
     for k in ks:
         if 0 < k < nu.validated_depth:
-            if parity(nu.expand(k)) == 0:
+            if nu.head_parity(k) == 0:
                 tr = k + 1
             else:
                 tl = k + 1
@@ -222,7 +222,7 @@ def resolve_x(indices, nu: KneadingSequence, mode: str = "rank", slope=None) -> 
 def side_of_level(nu: KneadingSequence, m: int) -> str:
     if m - 1 > nu.validated_depth:
         raise AmbiguousAtDepth(f"side of level {m} needs more of nu", depth=nu.validated_depth)
-    return "right" if parity(nu.expand(m - 1)) == 0 else "left"
+    return "right" if nu.head_parity(m - 1) == 0 else "left"
 
 
 def _flip(sym: str) -> str:
@@ -270,7 +270,8 @@ def _flip_joins(arcs, nu: KneadingSequence, flip) -> list:
             if i < 0 or w[i] == "1":
                 continue  # handle each unordered pair once, from its 0 side
             b = flip(a, k + 1)
-            out += [Join(k + 1, side_of_level(nu, k + 1), a, b)] * pool[b]
+            if pool[b]:
+                out += [Join(k + 1, side_of_level(nu, k + 1), a, b)] * pool[b]
     return out
 
 

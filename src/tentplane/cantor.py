@@ -10,10 +10,19 @@ middle-thirds Cantor set.
 ``compare_tails`` is the matching order on tails: tails compare the way
 their coordinates do.  Cylinder blocks of finite words get the midpoint
 of their ternary block, digits then ``(1)``.
+
+Every coordinate carries its value as an unreduced integer pair
+``scaled = (numerator, denominator)``, the denominator 3^t (3^p - 1) for
+t preperiod and p period digits; a depth-n block midpoint is
+(2 * int(digits, 3) + 1) / (2 * 3^n).  Scenes order heights on these
+integers, and ``value`` reduces the pair only when it is read.  Digits
+come from bit patterns, not a loop over symbols: bit n - i of
+``_odd(word)`` is the ones-parity of the word's last i symbols, so two
+words' digits are the xor of their patterns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -28,6 +37,8 @@ class CantorCoordinate:
 
     preperiod: str
     period: str
+    # the exact value, unreduced: (numerator, 3^t * (3^p - 1))
+    scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bad = (set(self.preperiod) | set(self.period)) - set("012")
@@ -36,6 +47,9 @@ class CantorCoordinate:
         pre, per = canon_right_words(self.preperiod, self.period)
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
+        cycle = 3 ** len(per) - 1
+        head = int(pre, 3) if pre else 0
+        object.__setattr__(self, "scaled", (head * cycle + int(per, 3), 3 ** len(pre) * cycle))
 
     def ternary(self) -> str:
         return f"{self.preperiod}({self.period})"
@@ -50,10 +64,7 @@ class CantorCoordinate:
 
     @cached_property
     def value(self) -> Fraction:
-        t, p = len(self.preperiod), len(self.period)
-        head = int(self.preperiod, 3) if t else 0
-        num = int(self.period, 3)
-        return Fraction(head, 3**t) + Fraction(num, (3**p - 1) * 3**t)
+        return Fraction(*self.scaled)
 
     def __str__(self):
         return self.ternary()
@@ -71,18 +82,35 @@ def _adjusted_period(word: str) -> int:
     return len(word) if parity(word) == 0 else 2 * len(word)
 
 
+def _odd(word: str) -> int:
+    """Bit n - i, for n = len(word), is the parity of the 1s among the
+    last i symbols; a ``*`` counts as 0."""
+    n = len(word)
+    # the reversed word, s_-1 first, read in binary: bit n - i is s_-i
+    x = int(word[::-1].replace("*", "0") or "0", 2)
+    shift = 1
+    while shift < n:
+        x ^= x >> shift  # each bit xors in the bits above it
+        shift *= 2
+    return x
+
+
+# a parity bit of 0 (the two words' last-i ones-counts agree) is digit 2
+_AGREE = str.maketrans("01", "20")
+
+
 def _digits(ws: str, wl: str) -> str:
     # digit i is 2 when the last-i ones-counts of ws and wl share parity
     n = len(ws)
-    digits = []
-    ps = pl = 0
-    for i in range(1, n + 1):
-        if ws[n - i] == "1":
-            ps ^= 1
-        if wl[n - i] == "1":
-            pl ^= 1
-        digits.append("2" if ps == pl else "0")
-    return "".join(digits)
+    return format(_odd(ws) ^ _odd(wl), f"0{n}b").translate(_AGREE) if n else ""
+
+
+def _block(digits: str, scale: int) -> CantorCoordinate:
+    # the midpoint digits(1), ``scale`` = 2 * 3^len(digits), built without
+    # re-checking digits of 0 and 2, which are canonical as they stand
+    c = object.__new__(CantorCoordinate)
+    c.__dict__.update(preperiod=digits, period="1", scaled=(2 * int(digits or "0", 3) + 1, scale))
+    return c
 
 
 def cantor_coordinate(tail: LeftTail, context: LeftTail) -> CantorCoordinate:
@@ -103,7 +131,14 @@ def block_midpoint(word: str, context: LeftTail) -> CantorCoordinate:
     The window's digits pin a ternary block of width 3^-n; the midpoint
     is that block's digit string followed by repeating 1.
     """
-    return CantorCoordinate(_digits(word, context.window(len(word))), "1")
+    return _block(_digits(word, context.window(len(word))), 2 * 3 ** len(word))
+
+
+def block_midpoints(odds, context: LeftTail, n: int) -> list:
+    """``block_midpoint`` of each length-n word, n >= 1, given by its
+    ``_odd`` pattern: one xor and one base change per word."""
+    ctx, fmt, scale = _odd(context.window(n)), f"0{n}b", 2 * 3**n
+    return [_block(format(o ^ ctx, fmt).translate(_AGREE), scale) for o in odds]
 
 
 def compare_tails(a: LeftTail, b: LeftTail, context: LeftTail) -> Comparison:

@@ -282,9 +282,10 @@ def _dispatch(args) -> int:
         nu = _nu_from(opts)
         words = enumerate_cylinders(nu, opts["depth"])
         if opts.get("context"):
-            # bottom-to-top in the height order the context induces
+            # bottom-to-top in the height order the context induces: the
+            # words share a length, so their heights share one scale
             ctx = parse_left(opts["context"])
-            words = sorted(words, key=lambda w: block_midpoint(w, ctx).value)
+            words = sorted(words, key=lambda w: block_midpoint(w, ctx).scaled[0])
         for w in words:
             print(w)
         return 0

@@ -54,6 +54,10 @@ _MOVE_TOL = 1e-12
 _SEGMENT_SAMPLES = 5
 _ARC_ANGLES = (-0.5, -0.25, 0.0, 0.25, 0.5)
 
+# support_certificate: float slack on the distance beyond which a deeper
+# region's collar cannot hold a point that a stage moves
+_REACH_SLACK = 1e-9
+
 # accessibility_probe: glue samples along the probe, and its float slack
 _PROBE_STEPS = 64
 _PROBE_TOL = 1e-9
@@ -282,11 +286,31 @@ def in_region(region: GlueRegion, point, slack: float = 0.0) -> bool:
     return math.hypot(dx, dy) <= chart.r_outer + slack
 
 
-def in_carved_region(stack, i: int, point, slack: float = 0.0) -> bool:
-    """Inside region i's collar but outside every deeper one (U_i)."""
+def in_carved_region(stack, i: int, point, slack: float = 0.0, deeper=None) -> bool:
+    """Inside region i's collar but outside every deeper one (U_i).
+    ``deeper`` may name the only deeper regions that can hold the point."""
     if not in_region(stack[i], point, slack):
         return False
-    return not any(in_region(r, point, -slack) for r in stack[i + 1 :])
+    if deeper is None:
+        deeper = stack[i + 1 :]
+    return not any(in_region(r, point, -slack) for r in deeper)
+
+
+def _deeper_in_reach(stack, tol: float) -> list:
+    """Per stage, the deeper regions whose collar, grown by |tol|, can
+    hold a point the stage moves.  A stage moves only points within r_max
+    + eps of its chart center and keeps their distance from it, so a
+    deeper region whose center lies farther than r_max + 2 eps + its
+    r_outer + |tol| (plus float slack) holds none of them.  A tube of no
+    positive width moves every point, and every deeper region is kept."""
+    out = []
+    for i, a in enumerate(stack):
+        reach = max(a.chart.radii) + 2 * a.eps + abs(tol) + _REACH_SLACK if a.eps > 0 else math.inf
+        out.append([
+            b for b in stack[i + 1 :]
+            if math.hypot(b.x0 - a.x0, b.chart.center_y - a.chart.center_y) <= reach + b.chart.r_outer
+        ])
+    return out
 
 
 def scene_samples(scene: Scene) -> list:
@@ -346,14 +370,17 @@ def support_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
     """Sampled support discipline: any stage that moves a sample moves it
     within that stage's carved region, and no sample moves twice."""
     sp = _sample_pass(stack, scene)
+    # a deeper region out of a stage's reach is not asked about its moves
+    deeper = _deeper_in_reach(stack, tol)
     bad_support = []
     bad_repeat = []
     for p, moves in zip(sp.points, sp.moves):
         moved = [m for m in moves if m.hop > _MOVE_TOL]
         for m in moved:
+            near = deeper[m.stage]
             if not (
-                in_carved_region(stack, m.stage, m.before, tol)
-                and in_carved_region(stack, m.stage, m.after, tol)
+                in_carved_region(stack, m.stage, m.before, tol, near)
+                and in_carved_region(stack, m.stage, m.after, tol, near)
             ):
                 bad_support.append((p, stack[m.stage].level))
         if len(moved) > 1:

@@ -55,7 +55,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Union
 
 from .errors import MalformedSequence, MalformedStarPeriod, NotAdmissible
@@ -67,7 +67,6 @@ from .sequences import (
     RightSeq,
     compare_right,
     parse_right,
-    plex_key,
 )
 
 C = Fraction(1, 2)
@@ -174,6 +173,28 @@ class KneadingSequence:
 
     def expand(self, n: int) -> str:
         return self.seq.expand(n)
+
+    @cached_property
+    def _parities(self) -> int:
+        # bit k: parity of the 1s among the first k symbols, for k up to
+        # the preperiod plus one period (an int, as a slope's nu is kept
+        # per slope and may be thousands of symbols long)
+        word = self.seq.preperiod + self.seq.period
+        bits, shift = int(word[::-1], 2), 1  # bit j is symbol j
+        while shift < len(word):
+            bits ^= bits << shift  # each bit xors in the bits below it
+            shift *= 2
+        return (bits << 1) & ((2 << len(word)) - 1)
+
+    def head_parity(self, k: int) -> int:
+        """Parity of the 1s among the first ``k`` symbols of the stored
+        word, ``parity(self.expand(k))``, from one table per sequence."""
+        bits, t, p = self._parities, len(self.seq.preperiod), len(self.seq.period)
+        if k <= t:
+            return bits >> k & 1
+        laps, rest = divmod(k - t, p)
+        cycle = (bits >> (t + p) ^ bits >> t) & 1  # the parity of one period
+        return (bits >> (t + rest) & 1) ^ (laps & cycle)
 
     def __str__(self):
         return str(self.seq)
@@ -377,18 +398,21 @@ def scan_cylinders(nu: KneadingSequence, depth: int) -> list:
     if not 1 <= depth <= sys.maxsize:
         raise MalformedSequence(f"depth must lie in 1..{sys.maxsize}, got {depth}")
     scan = HeadScan(nu, depth)
-    # grown level by level, so the depth is not bounded by the call stack
-    level = [("", scan.start)]
+    # grown level by level, so the depth is not bounded by the call stack,
+    # each word with its signed-lex key: bit j (from the top) is the parity
+    # of the 1s among its first j + 1 symbols, which orders words of one
+    # length as ``plex_key`` does, and its lowest bit is the word's parity
+    level = [("", scan.start, 0)]
     for _ in range(depth):
         level = [
-            (w + s, state)
-            for w, prev in level
-            for s in "01"
+            (w + s, state, (key << 1) | ((key & 1) ^ one))
+            for w, prev, key in level
+            for s, one in (("0", 0), ("1", 1))
             for state in (scan.read(s, prev),)
             if not state[2]
         ]
-    level.sort(key=lambda e: plex_key(e[0]))
-    return [(w, _bits(up | 1)) for w, (up, _, _) in level]
+    level.sort(key=lambda e: e[2])
+    return [(w, _bits(up | 1)) for w, (up, _, _), _ in level]
 
 
 def enumerate_cylinders(nu: KneadingSequence, depth: int) -> list:

@@ -10,13 +10,24 @@ Scenes come in two modes: explicit tails (each given tail is one arc)
 and cylinders (every admissible window of a fixed depth is one arc, at
 its block-midpoint height).
 
+A depth-n cylinder scene depends on its context only through the
+heights.  Everything else (the words, and the window projections, raw
+joins and abscissae their head matches give) is a layout, built once per
+(nu, depth, x mode, slope) and kept in a small memo, so one nu drawn
+under many contexts scans its words once.  Per context a height is an integer
+numerator on the scene scale 2 * 3^n, from one xor of the word's and the
+context's parity patterns; segments are sorted once on those integers
+and joins oriented by them.  Tail scenes order their heights on one
+scale too, the lcm of the coordinates' 3^t * (3^p - 1).
+
 ``verify_noncrossing`` checks the planarity contract: no segment pokes
 through a bulge, and no two same-side bulges at the same abscissa
 interleave.  A scene is immutable, and ``Scene.grid``, built once per
 scene and read by both checkers and the glue stack, sorts segments by
 height and groups joins into charts by (side, abscissa) and by (level,
-side, abscissa).  In rank mode it is an integer grid (heights scaled by
-the lcm of their denominators, abscissae by the lcm of theirs) and the
+side, abscissa).  Its heights are the integers on the scene scale, read
+from each segment's ``y``, in both x modes.  In rank mode abscissae lie
+on an integer grid too (scaled by the lcm of their denominators) and the
 checkers are exact; in value mode abscissae are floats, compared with
 the tolerance ``_VALUE_TOL``.
 
@@ -43,7 +54,8 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .arcs import (
@@ -55,7 +67,7 @@ from .arcs import (
     scan_tails,
     window_projection,
 )
-from .cantor import CantorCoordinate, block_midpoint, cantor_coordinate
+from .cantor import CantorCoordinate, _odd, block_midpoints, cantor_coordinate
 from .errors import ConflictError, MalformedSequence, NotAdmissible, ParseError
 from .kneading import KneadingSequence, is_admissible_tail, kneading_from_slope, scan_cylinders
 from .sequences import LeftTail, parse_left, parse_right
@@ -154,54 +166,108 @@ def build_scene(
     if "*" in str(context) or not is_admissible_tail(context, nu):
         raise NotAdmissible(f"context {context} is not admissible")
 
-    # each arc is scanned once; its matches give its landing indices
+    if tails is None:
+        lay = _layout(nu, depth, x_mode, slope)
+        xs = lay.xs
+        drawn = [
+            Segment(w, y, p, xs[p.lo_index], xs[p.hi_index], word=w)
+            for w, y, p in zip(lay.words, block_midpoints(lay.odd, context, depth), lay.projections)
+        ]
+        segments, joins = _placed(drawn, lay.joins, xs)
+        return Scene(nu, context, "cylinders", x_mode, segments, joins, depth=depth, slope=slope)
+
+    # each tail is scanned once; its matches give its landing indices
     # and its joins, found before x so the anchors take part in the layout
-    entries = []  # (label, tail, word, y, projection)
-    arcs = []  # (tail or word, window, head matches of the window)
-    if tails is not None:
-        labels = {}  # each distinct tail, with its first label
-        for item in tails:
-            tail = parse_left(item) if isinstance(item, str) else item
-            labels.setdefault(tail, item if isinstance(item, str) else str(item))
-        scans = scan_tails(labels, nu)
-        for tail, label in labels.items():
-            ok, landing, window, ks = scans[tail]
-            if not ok:
-                raise NotAdmissible(f"tail {label} is not admissible")
-            proj = landing_projection(tail, nu, landing)
-            entries.append((label, tail, None, cantor_coordinate(tail, context), proj))
-            arcs.append((tail, window, ks))
-        raw = _flip_joins(arcs, nu, flip_at)
-        mode = "tails"
-    else:
-        for w, ks in scan_cylinders(nu, depth):
-            entries.append((w, None, w, block_midpoint(w, context), window_projection(ks, nu)))
-            arcs.append((w, w, ks))
-        raw = _flip_joins(arcs, nu, _raise_slot)
-        mode = "cylinders"
+    labels = {}  # each distinct tail, with its first label
+    for item in tails:
+        tail = parse_left(item) if isinstance(item, str) else item
+        labels.setdefault(tail, item if isinstance(item, str) else str(item))
+    scans = scan_tails(labels, nu)
+    entries = []  # (label, tail, projection)
+    for tail, label in labels.items():
+        ok, landing, _, _ = scans[tail]
+        if not ok:
+            raise NotAdmissible(f"tail {label} is not admissible")
+        entries.append((label, tail, landing_projection(tail, nu, landing)))
+    raw = _flip_joins([(t, scans[t].window, scans[t].joins) for t in labels], nu, flip_at)
+    xs = resolve_x(_indices([e[2] for e in entries], raw), nu, mode=x_mode, slope=slope)
+    drawn = [
+        Segment(label, cantor_coordinate(tail, context), p, xs[p.lo_index], xs[p.hi_index], tail=tail)
+        for label, tail, p in entries
+    ]
+    segments, joins = _placed(drawn, _by_position(raw, labels), xs)
+    return Scene(nu, context, "tails", x_mode, segments, joins, depth=depth, slope=slope)
 
-    indices = {2, *(j.level for j in raw)}
-    for e in entries:
-        indices |= {e[4].lo_index, e[4].hi_index}
-    xs = resolve_x(indices, nu, mode=x_mode, slope=slope)
 
-    segments = []
-    for label, tail, word, y, proj in entries:
-        segments.append(
-            Segment(label, y, proj, xs[proj.lo_index], xs[proj.hi_index], tail=tail, word=word)
-        )
-    segments.sort(key=lambda s: s.y.value)
+def _indices(projections, raw) -> set:
+    # the orbit indices a scene places: 2, every landing index, every level
+    out = {2, *(j.level for j in raw)}
+    for p in projections:
+        out |= {p.lo_index, p.hi_index}
+    return out
 
-    by_key = {s.tail if s.tail is not None else s.word: s for s in segments}
+
+def _by_position(raw, items) -> list:
+    # each raw join as (level, side, position of low, position of high)
+    at = {a: i for i, a in enumerate(items)}
+    return [(j.level, j.side, at[j.low], at[j.high]) for j in raw]
+
+
+def _placed(drawn: list, raw, xs) -> tuple:
+    """The segments sorted by height and the scene joins, each with its
+    lower segment as ``low``, from the segments in drawing order and the
+    raw joins by position.  Heights are compared as integers on one
+    scale, and equal ones (none in a valid scene) keep their drawing
+    order."""
+    _, heights = _on_scale([s.y for s in drawn])
     joins = []
-    for j in raw:
-        lo, hi = by_key[j.low], by_key[j.high]
-        if lo.y.value > hi.y.value:
-            lo, hi = hi, lo
-        joins.append(SceneJoin(j.level, j.side, lo, hi, xs[j.level]))
+    for level, side, a, b in raw:
+        if heights[a] > heights[b]:
+            a, b = b, a
+        joins.append(SceneJoin(level, side, drawn[a], drawn[b], xs[level]))
     joins.sort(key=lambda j: (j.level, str(j.low.label)))
+    return [drawn[k] for k in sorted(range(len(drawn)), key=heights.__getitem__)], joins
 
-    return Scene(nu, context, mode, x_mode, segments, joins, depth=depth, slope=slope)
+
+def _on_scale(ys) -> tuple:
+    """The lcm ``dy`` of the coordinates' unreduced denominators, and each
+    coordinate's value times ``dy``, an integer."""
+    dy = math.lcm(*{d for _, d in (y.scaled for y in ys)})
+    return dy, [n * (dy // d) for n, d in (y.scaled for y in ys)]
+
+
+class _Layout(NamedTuple):
+    """What a depth-n cylinder scene holds that no context changes, in the
+    words' signed-lex order."""
+
+    words: tuple
+    projections: tuple  # each word's window projection
+    # the raw joins as (level, side, low, high), low on its slot-0 side
+    # and both ends as positions in ``words``
+    joins: tuple
+    xs: MappingProxyType  # resolve_x of every orbit index the scene places
+    odd: tuple  # each word's ``cantor._odd`` pattern, read by its heights
+
+
+# Every context at one (nu, depth) shares a layout: the paper makes each
+# point of the inverse limit accessible in its own embedding, so one nu is
+# drawn under many contexts.  A layout holds every word of its depth, so
+# only a few are kept: enough for a handful of nu at their depths in turn.
+# lru_cache keeps no exception, so an undecided truncated nu raises on
+# every call; typed, so a slope 3/2 and 1.5 (whose value-mode orbits
+# differ in rounding) get their own layouts.
+@lru_cache(maxsize=8, typed=True)
+def _layout(nu: KneadingSequence, depth: int, x_mode: str, slope) -> _Layout:
+    # each word's head matches, as its scan found them, feed its
+    # projection and its joins; the layout keeps only what they give
+    scanned = scan_cylinders(nu, depth)
+    words = tuple(w for w, _ in scanned)
+    projections = tuple(window_projection(ks, nu) for _, ks in scanned)
+    raw = _flip_joins([(w, w, ks) for w, ks in scanned], nu, _raise_slot)
+    xs = resolve_x(_indices(projections, raw), nu, mode=x_mode, slope=slope)
+    return _Layout(
+        words, projections, tuple(_by_position(raw, words)), MappingProxyType(xs), tuple(map(_odd, words))
+    )
 
 
 def _check_slope(nu: KneadingSequence, slope) -> None:
@@ -228,10 +294,11 @@ def _raise_slot(w: str, m: int) -> str:
 class _Grid(NamedTuple):
     """A scene's segments sorted by height, its join spans and its charts.
 
-    In rank mode every coordinate lies on one integer grid: height y is
-    ``y * dy`` and abscissa x is ``x * dx``, where ``dy`` and ``dx`` are
-    the lcms of the heights' and the abscissae's denominators.  In value
-    mode heights stay exact, abscissae are floats and both scales are 1.
+    Heights lie on one integer grid in both modes: height y is ``y * dy``,
+    where ``dy`` is the lcm of the heights' unreduced denominators (for a
+    depth-n cylinder scene, 2 * 3^n).  In rank mode abscissa x is ``x *
+    dx``, ``dx`` the lcm of the abscissae's denominators; in value mode
+    abscissae are floats and ``dx`` is 1.
     """
 
     dy: int
@@ -247,27 +314,28 @@ class _Grid(NamedTuple):
 
 def _grid(scene: Scene) -> _Grid:
     segs, js = scene.segments, scene.joins
+    # heights come from each segment's y, so a copy with replaced heights
+    # is placed by them
+    dy, ys = _on_scale([s.y for s in segs] + [y for j in js for y in (j.low.y, j.high.y)])
+    heights, ends = ys[: len(segs)], ys[len(segs) :]
     if scene.x_mode == "rank":
-        ends = [(j.y_lo, j.y_hi, j.x0) for j in js]
-        dy = math.lcm(*{s.y.value.denominator for s in segs}, *{q.denominator for e in ends for q in e[:2]})
         dx = math.lcm(
             *{q.denominator for s in segs for q in (s.x_lo, s.x_hi)},
-            *{e[2].denominator for e in ends},
+            *{j.x0.denominator for j in js},
         )
 
-        def on(q, d: int) -> int:
-            return q.numerator * (d // q.denominator)
+        def on(q) -> int:
+            return q.numerator * (dx // q.denominator)
 
-        heights = [on(s.y.value, dy) for s in segs]
-        x_lo = [on(s.x_lo, dx) for s in segs]
-        x_hi = [on(s.x_hi, dx) for s in segs]
-        spans = [(on(lo, dy), on(hi, dy), on(x0, dx)) for lo, hi, x0 in ends]
+        x_lo = [on(s.x_lo) for s in segs]
+        x_hi = [on(s.x_hi) for s in segs]
+        x0s = [on(j.x0) for j in js]
     else:
-        dy = dx = 1
-        heights = [s.y.value for s in segs]
+        dx = 1
         x_lo = [float(s.x_lo) for s in segs]
         x_hi = [float(s.x_hi) for s in segs]
-        spans = [(j.y_lo, j.y_hi, float(j.x0)) for j in js]
+        x0s = [float(j.x0) for j in js]
+    spans = list(zip(ends[::2], ends[1::2], x0s))
     # a stable sort on the grid heights keeps the order of equal heights
     order = sorted(range(len(segs)), key=heights.__getitem__)
     charts: dict = {}
@@ -335,7 +403,7 @@ def verify_noncrossing(scene: Scene) -> list:
 
     Checks bulge against segment and bulge against same-abscissa,
     same-side bulge.  Exact integer arithmetic in rank mode, tolerance
-    ``_VALUE_TOL`` in value mode.
+    ``_VALUE_TOL`` on float abscissae in value mode.
 
     Each chart (the joins sharing a side and an abscissa x0) indexes by
     height the segments that reach past x0 on its side, the only ones
@@ -370,7 +438,8 @@ def verify_noncrossing(scene: Scene) -> list:
             # the bulge meets height y at x0 +- arm, arm^2 = (y - ylo)(yhi - y)
             arm2 = (ys[k] - ylo) * (yhi - ys[k])
             if not exact:
-                hit = _crosses_float(j.side, x0, float(arm2), g.x_lo[k], g.x_hi[k])
+                # arm2 / dy^2 rounds once, as the float of the exact arm^2
+                hit = _crosses_float(j.side, x0, arm2 / dy2, g.x_lo[k], g.x_hi[k])
             else:
                 # on the grid, arm^2 * dx^2 * dy^2 is rr
                 rr = arm2 * dx2

@@ -434,6 +434,29 @@ def test_certificates_agree_with_reference(make):
             assert fn(stack, sc, tol=tight) == ref(stack, sc, tol=tight), fn.__name__
 
 
+def test_support_asks_only_deeper_regions_in_reach(monkeypatch):
+    sc = build_scene(GOLD, "(101).", depth=7)
+    stack = build_glue_stack(sc)
+    calls = []
+    real = glue.in_region
+    monkeypatch.setattr(glue, "in_region", lambda r, p, slack=0.0: calls.append(r) or real(r, p, slack))
+    sp = glue._sample_pass(stack, sc)
+    for tol in (1e-6, 0.0, -1e-3):
+        calls.clear()
+        got = support_certificate(stack, sc, tol=tol)
+        asked = len(calls)
+        assert got == ref_support(stack, sc, tol=tol)
+        # the loop before: every deeper region, for each move of a sample
+        calls.clear()
+        for moves in sp.moves:
+            for m in moves:
+                if m.hop > glue._MOVE_TOL:
+                    for q in (m.before, m.after):
+                        if not in_carved_region(stack, m.stage, q, tol):
+                            break
+        assert 0 < asked < len(calls), (tol, asked, len(calls))
+
+
 def _in_annulus(region, p):
     # inside [r0 - 2 eps, r_max + 2 eps] around the chart center
     rs = region.chart.radii

@@ -941,6 +941,8 @@ def test_build_scene_never_rescans_a_word(monkeypatch):
     rng = random.Random(5)
     value_nu = kneading_from_slope(1.9, max_iter=512)
     pool = [t for _ in range(3) for t in _oracle_pool(rng, value_nu) if is_admissible_tail(t, value_nu)]
+    # a memo hit would scan nothing at all
+    scene_module._layout.cache_clear()
     # arcs reads every tail's matches through tail_scan and no longer
     # imports head_matches; the patch still catches it coming back
     monkeypatch.setattr("tentplane.arcs.head_matches", rescan, raising=False)
@@ -951,3 +953,66 @@ def test_build_scene_never_rescans_a_word(monkeypatch):
         build_scene(value_nu, random_tail(rng, value_nu), tails=pool, x_mode="value"),
     ]
     assert all(sc.joins for sc in scenes)
+
+
+# ------------------------------------------------ the cylinder layout memo
+# build_scene keeps the context-free part of a cylinder scene per (nu,
+# depth, x mode, slope); every context's scene must still be the scene
+# the reference builds, and the one a cold build gives
+
+
+def _full(sc):
+    """A scene's file form, its projections and both violation lists."""
+    return scene_to_dict(sc), [s.projection for s in sc.segments], verify_noncrossing(sc), betweenness_check(sc)
+
+
+def test_layout_memo_agrees_with_reference_and_cold_builds():
+    layout = scene_module._layout
+    rng = random.Random(19)
+    cases = [(nu, d) for nu in (kneading_from_slope(2.0), GOLD, kneading_from_slope(math.sqrt(2)))
+             for d in range(2, 11)]
+    cases.append((TRUNCATED_NU, 10))
+    for nu, d in cases:
+        ctxs = []
+        while len(ctxs) < 10:
+            L = random_tail(rng, nu)
+            if L not in ctxs:
+                ctxs.append(L)
+        # ten contexts in a row: the first builds the layout, the rest reuse it
+        layout.cache_clear()
+        warm = [build_scene(nu, L, depth=d) for L in ctxs]
+        info = layout.cache_info()
+        assert (info.misses, info.hits) == (1, 9), (str(nu), d)
+        for L, sc in zip(ctxs, warm):
+            MERGED.clear()
+            want = _full(ref_build_scene(nu, L, depth=d))
+            assert not MERGED
+            assert _full(sc) == want, (str(nu), str(L), d)
+            layout.cache_clear()
+            assert _full(build_scene(nu, L, depth=d)) == want, (str(nu), str(L), d)
+    # a depth the truncated nu cannot order raises every time, and the
+    # memo keeps no entry for it
+    layout.cache_clear()
+    build_scene(TRUNCATED_NU, "(0111)1.", depth=10)
+    for _ in range(2):
+        with pytest.raises(AmbiguousAtDepth):
+            build_scene(TRUNCATED_NU, "(0111)1.", depth=13)
+        assert layout.cache_info().currsize == 1
+
+
+def test_tampered_copy_of_a_memo_scene_follows_its_heights():
+    scene_module._layout.cache_clear()
+    build_scene(GOLD, "(1).", depth=8)
+    sc = build_scene(GOLD, "(101).", depth=8)
+    assert scene_module._layout.cache_info().hits == 1
+    # heights swapped between two segments, the joins rebuilt on them
+    bad, label = _tamper(sc, random.Random(8))
+    before = {s.label: s.y for s in sc.segments}
+    after = {s.label: s.y for s in bad.segments}
+    assert after[label] != before[label]
+    g = bad.grid
+    assert g.ys == [s.y.value * g.dy for s in g.segments] == sorted(g.ys)
+    for j in bad.joins:
+        assert (j.low.y, j.high.y) == (after[j.low.label], after[j.high.label])
+    assert any(v["kind"] == "foreign-symbols" and v["segment"] == label for v in betweenness_check(bad))
+    assert betweenness_check(sc) == []

@@ -14,8 +14,10 @@ from conftest import figure_nu, figure_tails
 from tentplane import (
     KneadingSequence,
     RightSeq,
+    block_midpoint,
     build_scene,
     cli,
+    enumerate_cylinders,
     kneading_from_slope,
     parse_left,
     scene_from_json,
@@ -465,3 +467,13 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert "Traceback" not in err
+
+
+def test_cli_cylinders_context_order_is_height_order():
+    # the integer height key orders the words as their exact heights do
+    for nu, depth in ((GOLD, 7), (kneading_from_slope(2.0), 5), (kneading_from_slope(math.sqrt(2)), 8)):
+        words = enumerate_cylinders(nu, depth)
+        for ctx in ("(1).", "(101).", "(10)0.", "(011)1101.", "(0)1."):
+            code, out = run("cylinders", "--nu", str(nu.seq), "--depth", str(depth), "--L", ctx)
+            L = parse_left(ctx)
+            assert code == 0 and out.split() == sorted(words, key=lambda w: block_midpoint(w, L).value), ctx
