@@ -66,6 +66,10 @@ class CantorCoordinate:
     def value(self) -> Fraction:
         return Fraction(*self.scaled)
 
+    def __float__(self) -> float:
+        # the float of ``value``, one correctly rounded division, unbuilt
+        return self.scaled[0] / self.scaled[1]
+
     def __str__(self):
         return self.ternary()
 

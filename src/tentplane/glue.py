@@ -3,12 +3,14 @@
 Each join level of a scene gets a chart, read from the scene grid's
 (level, side, abscissa) groups: the level's bulges are concentric
 semicircles around a shared center, so a stage map can work in polar
-coordinates there.  Inside a thin radial tube around each bulge
-radius the stage pulls angles toward the bulge's apex; exactly on a
-bulge the pull is total, so the joined pair of endpoints (and the whole
-bulge between them) lands on one point, performing the gluing.  Radii
-are untouched, the tube is thin, and everything outside the tubes stays
-fixed.
+coordinates there.  Heights stay integers on the grid: a join spanning
+lo..hi has center (lo + hi) / 2dy and radius (hi - lo) / 2dy, each float
+one correctly rounded division, and only a region's fields are built as
+Fractions.  Inside a thin radial tube around each bulge radius the stage
+pulls angles toward the bulge's apex; exactly on a bulge the pull is
+total, so the joined pair of endpoints (and the whole bulge between
+them) lands on one point, performing the gluing.  Radii are untouched,
+the tube is thin, and everything outside the tubes stays fixed.
 
 Nothing here proves the construction in the abstract.  Instead the
 module exposes certificates: sampled assertions that stage supports stay
@@ -19,10 +21,10 @@ ceiling.  Points go through the stages in one sparse pass: a stage
 skips every point farther than 2 eps outside its innermost or
 outermost radius, which it provably fixes, and the pass records only
 the stages that change a point's image.  Four certificates read one
-such pass over the scene's samples, memoized on the regions' floats and
-the scene object; collapse and the probe each make one pass over their
-own points.  Tests freeze these into pass/fail facts for concrete
-scenes.
+such pass over the scene's samples, memoized on the region and scene
+objects, which compare by identity; collapse and the probe each make one
+pass over their own points.  Tests freeze these into pass/fail facts for
+concrete scenes.
 
 ``collapse_profile``/``fiber_collapse`` are the one-dimensional model
 squeeze used by the charts, kept exact (piecewise linear, rational in,
@@ -31,12 +33,11 @@ rational out) so identities can be asserted without tolerance.
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, combinations, count
+from itertools import accumulate, combinations, count
 from typing import NamedTuple, Optional
 
 from .errors import ChartOverflow, TentplaneError, WrongContext
@@ -117,9 +118,10 @@ class FloatChart(NamedTuple):
     region_diam: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlueRegion:
-    """Chart data for one join level: concentric bulges and their tube."""
+    """Chart data for one join level: concentric bulges and their tube.
+    Compared by identity, as a ``Scene`` is."""
 
     level: int
     side: str
@@ -157,14 +159,14 @@ class GlueRegion:
 
 
 def _levels(scene: Scene):
-    """(level, its joins in scene order), shallow to deep, from the scene
-    grid's (level, side, abscissa) groups; a level spread over two
+    """(level, its join indices in scene order), shallow to deep, from the
+    scene grid's (level, side, abscissa) groups; a level spread over two
     groups has no concentric chart and raises when it is reached."""
     groups = sorted(scene.grid.groups.items())
     for i, ((level, _, _), members) in enumerate(groups):
         if i + 1 < len(groups) and groups[i + 1][0][0] == level:
             raise TentplaneError(f"level {level} joins do not share a chart")
-        yield level, [scene.joins[a] for a in members]
+        yield level, members
 
 
 def build_glue_stack(scene: Scene) -> list:
@@ -174,24 +176,31 @@ def build_glue_stack(scene: Scene) -> list:
     charted concentrically and raise; degenerate radii or no room for a
     tube raise ChartOverflow.
     """
+    # a join spanning grid heights lo..hi has center (lo + hi) / scale and
+    # radius (hi - lo) / scale: the chart is worked out on those integers,
+    # and only the region's fields are built as Fractions
+    g = scene.grid
+    scale = 2 * g.dy
     out = []
-    for level, joins in _levels(scene):
-        mids = {j.center for j in joins}
+    for level, members in _levels(scene):
+        spans = [g.joins[a] for a in members]
+        mids = {lo + hi for lo, hi, _ in spans}
         if len(mids) != 1:
             raise TentplaneError(f"level {level} joins are not concentric")
-        radii = tuple(sorted(j.radius for j in joins))
+        radii = sorted(hi - lo for lo, hi, _ in spans)
         if radii[0] <= 0:
             raise ChartOverflow(f"level {level} has a zero-height join")
-        center_y = mids.pop()
-        r_max = radii[-1]
-        margin = min(radii[0], r_max / 3)
-        ceiling_gap = 1 - (center_y + r_max)
+        mid, r_max = mids.pop(), radii[-1]
+        # min(r0, r_max / 3, ceiling gap), tripled
+        margin = min(3 * radii[0], r_max)
+        ceiling_gap = scale - (mid + r_max)
         if ceiling_gap > 0:
-            margin = min(margin, ceiling_gap)
+            margin = min(margin, 3 * ceiling_gap)
         if margin <= 0:
             raise ChartOverflow(f"level {level} chart has no room for a tube")
-        eps = float(margin) * _EPS_SCALE
-        out.append(GlueRegion(level, joins[0].side, float(joins[0].x0), center_y, radii, eps))
+        eps = margin / (3 * scale) * _EPS_SCALE
+        j, radii = scene.joins[members[0]], tuple(Fraction(r, scale) for r in radii)
+        out.append(GlueRegion(level, j.side, float(j.x0), Fraction(mid, scale), radii, eps))
     return out
 
 
@@ -314,29 +323,19 @@ def _deeper_in_reach(stack, tol: float) -> list:
 
 
 def scene_samples(scene: Scene) -> list:
-    """Deterministic probe points on the drawn geometry."""
-    floats = _sample_floats(scene)
+    """Deterministic probe points on the drawn geometry, in scene order."""
     pts = []
-    split = 3 * len(scene.segments)
-    for i in range(0, split, 3):
-        y, lo, hi = floats[i : i + 3]
+    for s in scene.segments:
+        y, lo, hi = float(s.y), float(s.x_lo), float(s.x_hi)
         for k in range(_SEGMENT_SAMPLES):
             f = k / (_SEGMENT_SAMPLES - 1)
             pts.append((lo + f * (hi - lo), y))
-    for i in range(split, len(floats), 4):
-        cy, r, x0, sgn = floats[i : i + 4]
+    for j, (cy, r) in zip(scene.joins, scene.grid.bulges()):
+        x0, sgn = float(j.x0), 1 if j.side == "right" else -1
         for u in _ARC_ANGLES:
             t = u * math.pi
             pts.append((x0 + sgn * r * math.cos(t), cy + r * math.sin(t)))
     return pts
-
-
-def _sample_floats(scene: Scene) -> array:
-    # what scene_samples reads: y, x_lo and x_hi of each segment, then
-    # center, radius, x0 and the side's sign of each join
-    segs = ((s.y.value, s.x_lo, s.x_hi) for s in scene.segments)
-    joins = ((j.center, j.radius, j.x0, 1 if j.side == "right" else -1) for j in scene.joins)
-    return array("d", map(float, chain.from_iterable(chain(segs, joins))))
 
 
 class _SamplePass(NamedTuple):
@@ -347,20 +346,14 @@ class _SamplePass(NamedTuple):
 
 def _sample_pass(stack, scene: Scene) -> _SamplePass:
     """The scene's samples, run once through the stages, shared by the
-    sampled certificates.  Keyed by the regions, the floats their stage
-    maps read, bit for bit (-0.0 == 0.0 in Python, yet a stage map can
-    tell them apart), and the scene object: a scene is immutable, so a
-    hit converts nothing, and a replaced scene or region misses."""
-    regions = tuple(stack)
-    floats = array(
-        "d", chain.from_iterable((r.x0, r.eps, r.chart.center_y, *r.chart.radii) for r in regions)
-    )
-    return _sample_pass_memo(regions, floats.tobytes(), scene)
+    sampled certificates.  Keyed by the region and scene objects, which
+    are immutable and compare by identity: a hit converts nothing, and a
+    replaced scene or region misses, even one with equal fields."""
+    return _sample_pass_memo(tuple(stack), scene)
 
 
 @lru_cache(maxsize=1)
-def _sample_pass_memo(regions: tuple, floats: bytes, scene: Scene) -> _SamplePass:
-    # ``floats`` only keys the memo; the stage maps read the regions
+def _sample_pass_memo(regions: tuple, scene: Scene) -> _SamplePass:
     points = tuple(scene_samples(scene))
     moves, finals = _moves(regions, points)
     return _SamplePass(points, tuple(moves), tuple(finals))
@@ -441,19 +434,20 @@ def cauchy_certificate(stack, scene: Scene, tol: float = 1e-9) -> dict:
 def collapse_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
     """Every bulge lands on its own apex, one apex per radius."""
     levels = dict(_levels(scene))
+    radii = [r for _, r in scene.grid.bulges()]
     bulges = []  # (level, angle, apex, point on the bulge)
     apexes: dict = {}  # per level, across regions
     for region in stack:
         sgn = 1 if region.side == "right" else -1
-        for j in levels[region.level]:
-            r = float(j.radius)
-            cy = region.chart.center_y
+        cy = region.chart.center_y
+        for a in levels[region.level]:
+            r = radii[a]
             apex = (region.x0 + sgn * r, cy)
             apexes.setdefault(region.level, []).append(apex)
             for u in (-0.5, -0.3, 0.0, 0.3, 0.5):
                 t = u * math.pi
                 p = (region.x0 + sgn * r * math.cos(t), cy + r * math.sin(t))
-                bulges.append((j.level, u, apex, p))
+                bulges.append((region.level, u, apex, p))
     bad = []
     for (level, u, apex, _), q in zip(bulges, _moves(stack, [b[3] for b in bulges])[1]):
         if math.hypot(q[0] - apex[0], q[1] - apex[1]) > tol:
@@ -523,29 +517,28 @@ def accessibility_probe(
         x = (float(target.x_lo) + float(target.x_hi)) / 2
     elif not float(target.x_lo) - _PROBE_TOL <= x <= float(target.x_hi) + _PROBE_TOL:
         raise WrongContext(f"probe abscissa {x} misses the target arc")
-    ty = float(target.y.value)
+    ty = float(target.y)
     top = max(2.0, ty + 1.0)
     witness = None
 
     for s in scene.segments:
         if s is target:
             continue
-        y = float(s.y.value)
+        y = float(s.y)
         if ty < y <= top and float(s.x_lo) - _PROBE_TOL <= x <= float(s.x_hi) + _PROBE_TOL:
             witness = {"kind": "segment", "label": s.label, "y": y}
             break
     if witness is None:
-        for j in scene.joins:
+        for j, (cy, r) in zip(scene.joins, scene.grid.bulges()):
             dx = x - float(j.x0)
             if j.side == "right" and dx < -_PROBE_TOL:
                 continue
             if j.side == "left" and dx > _PROBE_TOL:
                 continue
-            r = float(j.radius)
             if abs(dx) > r:
                 continue
             arm = math.sqrt(max(r * r - dx * dx, 0.0))
-            for y in (float(j.center) + arm, float(j.center) - arm):
+            for y in (cy + arm, cy - arm):
                 if ty + _PROBE_TOL < y <= top:
                     witness = {
                         "kind": "join",

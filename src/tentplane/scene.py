@@ -23,11 +23,14 @@ scale too, the lcm of the coordinates' 3^t * (3^p - 1).
 ``verify_noncrossing`` checks the planarity contract: no segment pokes
 through a bulge, and no two same-side bulges at the same abscissa
 interleave.  A scene is immutable, and ``Scene.grid``, built once per
-scene and read by both checkers and the glue stack, sorts segments by
-height and groups joins into charts by (side, abscissa) and by (level,
-side, abscissa).  Its heights are the integers on the scene scale, read
-from each segment's ``y``, in both x modes.  In rank mode abscissae lie
-on an integer grid too (scaled by the lcm of their denominators) and the
+scene, sorts segments by height and groups joins into charts by (side,
+abscissa) and by (level, side, abscissa).  Its heights are the integers
+on the scene scale, read from each segment's ``y``, in both x modes.  It
+is the one exact form of the geometry past the build: both checkers, the
+glue stack, its samples, the probe and the SVG read a join's center and
+radius from its integer span (``_Grid.bulges`` gives their floats), so
+``SceneJoin`` keeps no Fraction of them.  In rank mode abscissae lie on
+an integer grid too (scaled by the lcm of their denominators) and the
 checkers are exact; in value mode abscissae are floats, compared with
 the tolerance ``_VALUE_TOL``.
 
@@ -107,15 +110,6 @@ class SceneJoin:
     @property
     def y_hi(self) -> Fraction:
         return self.high.y.value
-
-    # computed once per join; a replaced copy computes its own
-    @cached_property
-    def center(self) -> Fraction:
-        return (self.y_lo + self.y_hi) / 2
-
-    @cached_property
-    def radius(self) -> Fraction:
-        return (self.y_hi - self.y_lo) / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,6 +304,13 @@ class _Grid(NamedTuple):
     joins: list  # (y_lo, y_hi, x0) of each scene join, in scene order
     charts: dict  # (side, x0): indices of its joins, ascending
     groups: dict  # (level, side, x0): indices of its joins, ascending
+
+    def bulges(self) -> list:
+        """(center, radius) of each join's bulge, in scene order: (y_lo +
+        y_hi) / 2dy and (y_hi - y_lo) / 2dy, each rounded once, so each is
+        the float of its exact value."""
+        scale = 2 * self.dy
+        return [((lo + hi) / scale, (hi - lo) / scale) for lo, hi, _ in self.joins]
 
 
 def _grid(scene: Scene) -> _Grid:

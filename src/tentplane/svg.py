@@ -25,13 +25,10 @@ def render_scene(scene: Scene, *, portrait: bool = False) -> str:
     ys = [0.0, 1.0]
     for s in scene.segments:
         xs += [float(s.x_lo), float(s.x_hi)]
-        ys.append(float(s.y.value))
-    for j in scene.joins:
-        r = float(j.radius)
-        if j.side == "right":
-            xs.append(float(j.x0) + r)
-        else:
-            xs.append(float(j.x0) - r)
+        ys.append(float(s.y))
+    radii = [r for _, r in scene.grid.bulges()]
+    for j, r in zip(scene.joins, radii):
+        xs.append(float(j.x0) + r if j.side == "right" else float(j.x0) - r)
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
     spanx = (xmax - xmin) or 1.0
@@ -57,15 +54,14 @@ def render_scene(scene: Scene, *, portrait: bool = False) -> str:
         f'height="{_f(_HEIGHT - 2 * _MARGIN)}" fill="none" stroke="#cccccc" stroke-width="1"/>'
     )
     for s in scene.segments:
-        y = Y(float(s.y.value))
+        y = Y(float(s.y))
         parts.append(
             f'<line x1="{_f(X(float(s.x_lo)))}" y1="{_f(y)}" x2="{_f(X(float(s.x_hi)))}" '
             f'y2="{_f(y)}" stroke="#000000" stroke-width="1.5"/>'
         )
-    for j in scene.joins:
-        r = float(j.radius)
+    for j, r in zip(scene.joins, radii):
         x = X(float(j.x0))
-        y1, y2 = Y(float(j.y_lo)), Y(float(j.y_hi))
+        y1, y2 = Y(float(j.low.y)), Y(float(j.high.y))
         rx, ry = r * sx, r * sy
         sweep = 0 if j.side == "right" else 1
         parts.append(
@@ -73,7 +69,7 @@ def render_scene(scene: Scene, *, portrait: bool = False) -> str:
             f'fill="none" stroke="#3355bb" stroke-width="1.2"/>'
         )
     for s in scene.segments:
-        y = Y(float(s.y.value))
+        y = Y(float(s.y))
         # as xml.sax.saxutils.escape, whose import loads urllib and email
         label = s.label.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
         parts.append(

@@ -1,7 +1,10 @@
-"""Shared fixtures: canonical slopes, a reference arc family, and seeded
-generators for kneading words and admissible tails."""
+"""Shared fixtures: canonical slopes, a reference arc family, seeded
+generators for kneading words and admissible tails, and the scenes on
+which the readers of a scene's grid are pinned to their references."""
 import math
 import random
+from bisect import bisect_left, bisect_right
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +12,8 @@ from tentplane import (
     KneadingSequence,
     LeftTail,
     RightSeq,
+    SceneJoin,
+    build_scene,
     is_admissible_tail,
     kneading_from_slope,
     validate_kneading,
@@ -81,3 +86,58 @@ def random_tail(rng: random.Random, nu: KneadingSequence, max_period: int = 4,
         if is_admissible_tail(tail, nu):
             return tail
     raise AssertionError(f"no admissible tail found for {nu}")
+
+
+SLOPES = {"slope2": 2.0, "golden": GOLDEN, "sqrt2": math.sqrt(2.0)}
+
+GRID_CASES = (
+    ["figure", "tampered-golden", "tampered-slope2", "reordered"]
+    + [f"tails-value-{name}" for name in SLOPES]
+    + [f"cylinders-{name}-{depth}-{mode}" for name in SLOPES for depth in range(2, 9) for mode in ("rank", "value")]
+)
+
+
+def tampered(sc):
+    """A copy made as the benchmark makes one, first choice each time:
+    the height of a segment inside a level >= 2 join gap swapped with
+    that of a segment whose last m - 1 symbols are not nu's head, each
+    join's ends re-oriented by height and the segments re-sorted."""
+    ys = [s.y.value for s in sc.segments]
+    j = next(j for j in sc.joins if j.level >= 2 and bisect_right(ys, j.y_lo) < bisect_left(ys, j.y_hi))
+    inside = sc.segments[bisect_right(ys, j.y_lo)]
+    head = sc.nu.expand(j.level - 1)
+    foreign = next(s for s in sc.segments if s.last(j.level - 1) != head)
+    swap = {inside.label: foreign.y, foreign.label: inside.y}
+    segs = [replace(s, y=swap[s.label]) if s.label in swap else s for s in sc.segments]
+    by = {s.label: s for s in segs}
+    joins = []
+    for old in sc.joins:
+        a, b = by[old.low.label], by[old.high.label]
+        if a.y.value > b.y.value:
+            a, b = b, a
+        joins.append(SceneJoin(old.level, old.side, a, b, old.x0))
+    segs.sort(key=lambda s: s.y.value)
+    return replace(sc, segments=segs, joins=joins)
+
+
+def grid_case(case: str):
+    """The scene named by a GRID_CASES id."""
+    kind, _, rest = case.partition("-")
+    if kind == "figure":
+        return build_scene(figure_nu(), "(1).", tails=figure_tails() + [LeftTail("1", "")])
+    if kind == "reordered":
+        # out of height order, joins reversed
+        sc = build_scene(kneading_from_slope(GOLDEN), "(101).", depth=6)
+        return replace(sc, segments=sc.segments[::-1], joins=sc.joins[::-1])
+    if kind == "tampered":
+        nu = kneading_from_slope(SLOPES[rest])
+        return tampered(build_scene(nu, random_tail(random.Random(rest), nu), depth=6))
+    if kind == "tails":
+        nu = kneading_from_slope(SLOPES[rest.split("-")[1]])
+        rng = random.Random(case)
+        tails = list(dict.fromkeys(random_tail(rng, nu) for _ in range(12)))
+        context = random_tail(rng, nu)
+        return build_scene(nu, context, tails=tails + [context], x_mode="value")
+    name, depth, mode = rest.split("-")
+    nu = kneading_from_slope(SLOPES[name])
+    return build_scene(nu, random_tail(random.Random(case), nu), depth=int(depth), x_mode=mode)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import figure_nu, figure_tails, random_tail
+from conftest import GRID_CASES, figure_nu, figure_tails, grid_case, random_tail
 
 from tentplane import glue
 from tentplane import (
@@ -149,6 +149,11 @@ def test_stack_structure():
         assert r.region_diam == 2 * r.r_outer
 
 
+def _center_radius(j):
+    # a join's exact center and radius, from its end heights
+    return (j.y_lo + j.y_hi) / 2, (j.y_hi - j.y_lo) / 2
+
+
 def _seg(label, ternary, x_lo, x_hi, tail):
     proj = Projection(2, 1, 2, 1)
     return Segment(label, parse_ternary(ternary), proj, x_lo, x_hi, tail=parse_left(tail))
@@ -175,6 +180,41 @@ def test_stack_rejects_bad_charts():
     first = [SceneJoin(1, "left", a, a, 0.5), SceneJoin(2, "left", a, b, 0.5), SceneJoin(2, "right", a, c, 0.5)]
     with pytest.raises(ChartOverflow, match="level 1 has a zero-height join"):
         build_glue_stack(scene_with(first, [a, b, c]))
+    # each raises as the Fraction reference does, type and message
+    for joins in ([SceneJoin(1, "left", a, a, 0.5)], mixed, off, first):
+        assert _outcome(build_glue_stack, scene_with(joins, [a, b, c])) == _outcome(
+            ref_build_glue_stack, scene_with(joins, [a, b, c]))
+
+
+def _outcome(build, sc):
+    # a stack's region fields, or the type and message of what it raised
+    try:
+        return [_region_fields(r) for r in build(sc)]
+    except TentplaneError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("case", GRID_CASES)
+def test_grid_readers_agree_with_fraction_reference(case):
+    """The stack, the samples, collapse and the probe read each height,
+    center and radius from the scene grid; bit for bit they give what
+    the Fraction read-outs gave."""
+    sc = grid_case(case)
+    assert _hex(scene_samples(sc)) == _hex(ref_scene_samples(sc))
+    got = _outcome(build_glue_stack, sc)
+    assert got == _outcome(ref_build_glue_stack, sc)
+    stack = build_glue_stack(sc) if isinstance(got, list) else []
+    if stack:
+        for tol in ({}, {"tol": -1.0}):
+            assert _hex(collapse_certificate(stack, sc, **tol)) == _hex(ref_collapse(stack, sc, **tol))
+    # the probe onto about a dozen arcs, at both ends and the middle,
+    # strict on the context's arc where it is drawn
+    for seg in sc.segments[:: max(1, len(sc.segments) // 12)]:
+        tail = seg.tail if seg.tail is not None else LeftTail(sc.context.period, seg.word)
+        for x in (float(seg.x_lo), (float(seg.x_lo) + float(seg.x_hi)) / 2, float(seg.x_hi)):
+            _probe_against_reference(sc, stack, tail, x, False)
+    if not case.startswith(("tampered", "reordered")):
+        _probe_against_reference(sc, stack, None, None, True)
 
 
 def test_stage_collapses_bulges_to_apexes():
@@ -182,7 +222,8 @@ def test_stage_collapses_bulges_to_apexes():
     stack = build_glue_stack(sc)
     for j in (sc.joins[0], sc.joins[-1]):
         sgn = 1 if j.side == "right" else -1
-        r, cy, x0 = float(j.radius), float(j.center), float(j.x0)
+        cy, r = map(float, _center_radius(j))
+        x0 = float(j.x0)
         apex = (x0 + sgn * r, cy)
         for u in (-0.5, -0.37, 0.0, 0.25, 0.5):
             t = u * math.pi
@@ -206,7 +247,8 @@ def test_stage_preserves_radius():
     stack = build_glue_stack(sc)
     reg = stack[0]
     j = next(j for j in sc.joins if j.level == reg.level)
-    r, cy, x0 = float(j.radius), float(j.center), float(j.x0)
+    cy, r = map(float, _center_radius(j))
+    x0 = float(j.x0)
     p = (x0 + r * math.cos(0.4 * math.pi), cy + r * math.sin(0.4 * math.pi))
     q = stage_map(reg, p)
     rho_in = math.hypot(p[0] - x0, p[1] - cy)
@@ -270,10 +312,72 @@ def test_collapse_golden_depth_14():
 
 
 # ------------------------------------------------------------------ oracle
-# The stage map and region tests as first written, converting every
-# Fraction on each call and scanning every radius; and the certificates
-# as first written: every stage applied afresh to the previous image,
-# and every Cauchy prefix recomposed from the start.
+# The charts and samples as first written, every center, radius and
+# margin a Fraction converted to float; the stage map and region tests
+# as first written, converting every Fraction on each call and scanning
+# every radius; and the certificates as first written: every stage
+# applied afresh to the previous image, and every Cauchy prefix
+# recomposed from the start.
+
+
+def _hex(obj):
+    """obj with every float spelled by float.hex, so that a comparison
+    tells every bit apart, -0.0 from 0.0 included."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {k: _hex(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(map(_hex, obj))
+    return obj
+
+
+def _region_fields(r):
+    return _hex((r.level, r.side, r.x0, r.center_y, r.radii, r.eps, tuple(r.chart)))
+
+
+def ref_build_glue_stack(scene):
+    levels = {}
+    for j in scene.joins:
+        levels.setdefault(j.level, []).append(j)
+    out = []
+    for level in sorted(levels):
+        joins = levels[level]
+        if len({(j.side, j.x0) for j in joins}) != 1:
+            raise TentplaneError(f"level {level} joins do not share a chart")
+        mids = {_center_radius(j)[0] for j in joins}
+        if len(mids) != 1:
+            raise TentplaneError(f"level {level} joins are not concentric")
+        radii = tuple(sorted(_center_radius(j)[1] for j in joins))
+        if radii[0] <= 0:
+            raise ChartOverflow(f"level {level} has a zero-height join")
+        center_y = mids.pop()
+        r_max = radii[-1]
+        margin = min(radii[0], r_max / 3)
+        ceiling_gap = 1 - (center_y + r_max)
+        if ceiling_gap > 0:
+            margin = min(margin, ceiling_gap)
+        if margin <= 0:
+            raise ChartOverflow(f"level {level} chart has no room for a tube")
+        eps = float(margin) * 1e-4
+        out.append(GlueRegion(level, joins[0].side, float(joins[0].x0), center_y, radii, eps))
+    return out
+
+
+def ref_scene_samples(scene):
+    pts = []
+    for s in scene.segments:
+        y, lo, hi = float(s.y.value), float(s.x_lo), float(s.x_hi)
+        for k in range(5):
+            f = k / 4
+            pts.append((lo + f * (hi - lo), y))
+    for j in scene.joins:
+        cy, r = map(float, _center_radius(j))
+        x0, sgn = float(j.x0), 1 if j.side == "right" else -1
+        for u in (-0.5, -0.25, 0.0, 0.25, 0.5):
+            t = u * math.pi
+            pts.append((x0 + sgn * r * math.cos(t), cy + r * math.sin(t)))
+    return pts
 
 
 def _ref_stage_map(region, point):
@@ -319,7 +423,7 @@ def _ref_image(stack, p, n):
 
 
 def ref_support(stack, scene, tol=1e-6):
-    pts = scene_samples(scene)
+    pts = ref_scene_samples(scene)
     bad_support, bad_repeat = [], []
     for p in pts:
         cur, moved = p, []
@@ -338,7 +442,7 @@ def ref_support(stack, scene, tol=1e-6):
 
 
 def ref_displacement(stack, scene, tol=1e-9):
-    pts = scene_samples(scene)
+    pts = ref_scene_samples(scene)
     worst, bad = 0.0, []
     for p in pts:
         cur = p
@@ -355,7 +459,7 @@ def ref_displacement(stack, scene, tol=1e-9):
 
 
 def ref_cauchy(stack, scene, tol=1e-9):
-    pts = scene_samples(scene)
+    pts = ref_scene_samples(scene)
     bad = []
     for p in pts:
         images = [_ref_image(stack, p, n) for n in range(len(stack) + 1)]
@@ -376,7 +480,7 @@ def ref_collapse(stack, scene, tol=1e-6):
     for region in stack:
         sgn = 1 if region.side == "right" else -1
         for j in per_level[region.level]:
-            r, cy = float(j.radius), float(region.center_y)
+            r, cy = float(_center_radius(j)[1]), float(region.center_y)
             apex = (region.x0 + sgn * r, cy)
             apexes.append((region.level, apex))
             for u in (-0.5, -0.3, 0.0, 0.3, 0.5):
@@ -396,7 +500,7 @@ def ref_collapse(stack, scene, tol=1e-6):
 
 
 def ref_ceiling(stack, scene, tol=1e-6):
-    pts = [p for p in scene_samples(scene) if p[1] <= 1 + 1e-12]
+    pts = [p for p in ref_scene_samples(scene) if p[1] <= 1 + 1e-12]
     worst, bad = 0.0, []
     for p in pts:
         q = _ref_image(stack, p, len(stack))
@@ -417,21 +521,22 @@ def test_certificates_agree_with_reference(make):
     pairs = [(support_certificate, ref_support), (displacement_certificate, ref_displacement),
              (cauchy_certificate, ref_cauchy), (collapse_certificate, ref_collapse),
              (ceiling_certificate, ref_ceiling)]
+    assert _hex(scene_samples(sc)) == _hex(ref_scene_samples(sc))
     for stack in (built, built[::-1], built + built):
         for p in scene_samples(sc):
-            assert apply_gluing(stack, p) == _ref_image(stack, p, len(stack))
-            assert apply_gluing(stack[:1], p) == _ref_image(stack, p, 1)
+            assert _hex(apply_gluing(stack, p)) == _hex(_ref_image(stack, p, len(stack)))
+            assert _hex(apply_gluing(stack[:1], p)) == _hex(_ref_image(stack, p, 1))
         for fn, ref in pairs:
-            assert fn(stack, sc) == ref(stack, sc), fn.__name__
+            assert _hex(fn(stack, sc)) == _hex(ref(stack, sc)), fn.__name__
             # a negative tolerance fails every checked pair, so the
             # failure lists are full
             full = fn(stack, sc, tol=-1.0)
-            assert full == ref(stack, sc, tol=-1.0), fn.__name__
+            assert _hex(full) == _hex(ref(stack, sc, tol=-1.0)), fn.__name__
             assert not full["ok"]
             # no window limit is negative, yet every move at the stage of
             # least diameter fails
             tight = -min(float(r.region_diam) for r in stack)
-            assert fn(stack, sc, tol=tight) == ref(stack, sc, tol=tight), fn.__name__
+            assert _hex(fn(stack, sc, tol=tight)) == _hex(ref(stack, sc, tol=tight)), fn.__name__
 
 
 def test_support_asks_only_deeper_regions_in_reach(monkeypatch):
@@ -481,15 +586,14 @@ def test_certificates_share_one_sample_pass(monkeypatch):
     monkeypatch.setattr(glue, "_moves", counted)
     monkeypatch.setattr(glue, "stage_map", seen)
     converted = []
-    real_floats = glue._sample_floats
-    monkeypatch.setattr(glue, "_sample_floats", lambda scene: converted.append(scene) or real_floats(scene))
+    monkeypatch.setattr(glue, "scene_samples", lambda scene: converted.append(scene) or scene_samples(scene))
     # the memo holds one pass: certify a trimmed stack first, so the run
     # below starts without one for (stack, sc)
     support_certificate(stack[:-1], sc)
     samples, joins = scene_samples(sc), len(sc.joins)
     # one pass over the samples on a memo miss, shared by four
     # certificates; one pass over five points per join for collapse; the
-    # scene is converted to floats on a miss only
+    # samples are made on a miss only
     for expected, conversions in (([len(samples), 5 * joins], 1), ([5 * joins], 0)):
         passes.clear()
         mapped.clear()
@@ -512,7 +616,7 @@ def test_certificates_share_one_sample_pass(monkeypatch):
     assert len(mapped) == in_reach < len(samples) * len(stack)
 
 
-def test_sample_pass_memo_is_keyed_by_value():
+def test_sample_pass_memo_is_keyed_by_identity():
     sc = build_scene(GOLD, "(101).", depth=5)
     built = build_glue_stack(sc)
     wider = built[:]
@@ -533,18 +637,25 @@ def test_sample_pass_memo_is_keyed_by_value():
             sc = replace(sc, segments=[*sc.segments[:k], s, *sc.segments[k + 1 :]])
             for tol in ({}, {"tol": -1.0}):
                 rep = fn(stack, sc, **tol)
-                assert rep == ref(stack, sc, **tol), fn.__name__
+                assert _hex(rep) == _hex(ref(stack, sc, **tol)), fn.__name__
             seen.append(rep)
         if fn is not collapse_certificate:
             assert seen[0] != seen[1] and seen[2] != seen[3], fn.__name__
         if fn is displacement_certificate or fn is cauchy_certificate:
             assert seen[1] != seen[2] and seen[3] != seen[4], fn.__name__
-    # -0.0 == 0.0, but the memo tells them apart
+    # the memo keys on the region objects: the same ones in a new list
+    # hit, and a copy misses, be its fields equal or its x0 -0.0 for 0.0
+    # (equal in Python, yet a stage map tells them apart)
+    same = [replace(r) for r in built]
+    assert [_region_fields(r) for r in same] == [_region_fields(r) for r in built]
     origin = [replace(r, x0=0.0) for r in built]
     signed = [replace(r, x0=-0.0) for r in built]
-    assert origin == signed
-    assert glue._sample_pass(origin, sc) is not glue._sample_pass(signed, sc)
-    assert glue._sample_pass(origin, sc) is glue._sample_pass(origin[:], sc)
+    for stack, copy in ((built, same), (origin, signed)):
+        sp = glue._sample_pass(stack, sc)
+        assert glue._sample_pass(stack[:], sc) is sp
+        assert glue._sample_pass(copy, sc) is not sp
+        for fn, ref in pairs:
+            assert _hex(fn(copy, sc)) == _hex(ref(copy, sc)), fn.__name__
 
 
 def _edge_radii(region):
@@ -670,6 +781,21 @@ def test_probe_join_witness():
     assert not rep.accessible
     assert rep.witness["kind"] == "join"
     assert rep.witness["join"] == (1, "A", "B")
+    # a bulge between each pair of heights, on either side, probed at
+    # several abscissae: the witness heights, read from the scene grid,
+    # are the Fraction reference's bit for bit
+    heights = ["0(1)", "(02)", "02(1)", "022(1)", "0(2)", "(1)", "20(1)", "(20)", "(2)"]
+    kinds = Counter()
+    for i, lo in enumerate(heights):
+        for hi in heights[i + 1 :]:
+            a = _seg("A", lo, 0.0, 1.0, "(101)0.")
+            b = _seg("B", hi, 0.9, 1.0, "(101).")
+            for side, x0 in (("left", 0.6), ("right", 0.4)):
+                sc = Scene(GOLD, parse_left("(101)0."), "tails", "value", [a, b], [SceneJoin(1, side, a, b, x0)],
+                           slope=2.0)
+                for x in (0.45, 0.5, 0.55, 0.58):
+                    kinds[_probe_against_reference(sc, [], None, x, True)[0]] += 1
+    assert kinds["join"] > 150, kinds
 
 
 def test_probe_glue_motion_witness():
@@ -706,14 +832,38 @@ def ref_probe_motion(stack, x, ty, top):
     return None, 64, 0
 
 
+def ref_probe_obstruction(sc, target, x):
+    """The probe's segment and bulge loops as first written, every
+    height, center and radius a Fraction converted to float."""
+    ty = float(target.y.value)
+    top = max(2.0, ty + 1.0)
+    for s in sc.segments:
+        y = float(s.y.value)
+        if s is not target and ty < y <= top and float(s.x_lo) - 1e-9 <= x <= float(s.x_hi) + 1e-9:
+            return {"kind": "segment", "label": s.label, "y": y}
+    for j in sc.joins:
+        dx = x - float(j.x0)
+        if (j.side == "right" and dx < -1e-9) or (j.side == "left" and dx > 1e-9):
+            continue
+        cy, r = map(float, _center_radius(j))
+        if abs(dx) > r:
+            continue
+        arm = math.sqrt(max(r * r - dx * dx, 0.0))
+        for y in (cy + arm, cy - arm):
+            if ty + 1e-9 < y <= top:
+                return {"kind": "join", "join": (j.level, j.low.label, j.high.label), "y": y}
+    return None
+
+
 def _probe_against_reference(sc, stack, tail, x, strict):
     rep = accessibility_probe(sc, stack, tail=tail, x=x, strict=strict)
-    if rep.witness is not None and rep.witness["kind"] != "glue-motion":
-        assert (rep.samples, rep.moved_stage_hits) == (0, 0)
-    else:
-        ty = float(next(s for s in sc.segments if s.label == rep.target_label).y.value)
-        want = ref_probe_motion(stack, x, ty, max(2.0, ty + 1.0))
-        assert (rep.witness, rep.samples, rep.moved_stage_hits) == want
+    target = next(s for s in sc.segments if s.label == rep.target_label)
+    if x is None:
+        x = (float(target.x_lo) + float(target.x_hi)) / 2
+    ty = float(target.y.value)
+    witness = ref_probe_obstruction(sc, target, x)
+    want = (witness, 0, 0) if witness else ref_probe_motion(stack, x, ty, max(2.0, ty + 1.0))
+    assert _hex((rep.probe_x, rep.witness, rep.samples, rep.moved_stage_hits)) == _hex((x, *want))
     return rep.witness["kind"] if rep.witness else None, rep.samples
 
 

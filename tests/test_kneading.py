@@ -22,6 +22,7 @@ from tentplane import (
     parse_right,
     validate_kneading,
 )
+from tentplane import kneading
 from tentplane.arcs import Join, _flip_joins, match_window, scan_tails, side_of_level
 from tentplane.kneading import (
     _ORBIT_EPS,
@@ -302,6 +303,20 @@ def test_enumerate_cylinders_deeper_than_the_call_stack():
     for bad in (0, 10**20):
         with pytest.raises(MalformedSequence):
             enumerate_cylinders(kneading_from_text("(1)"), bad)
+
+
+def test_scan_cylinders_refuses_a_level_past_the_bound(monkeypatch):
+    full = kneading_from_slope(2.0)
+    # slope 2 doubles its words per symbol: the first length past 2^17
+    # raises, long before depth 60's 2^60 words
+    with pytest.raises(MalformedSequence, match="length 18 has 262144 cylinders, more than 131072"):
+        scan_cylinders(full, 60)
+    # a level of exactly the bound is listed, one more word is not
+    gold = kneading_from_slope(GOLDEN)
+    monkeypatch.setattr(kneading, "_MAX_CYLINDERS", 8)
+    assert len(scan_cylinders(gold, 4)) == 8
+    with pytest.raises(MalformedSequence, match="depth 9 is refused: length 5 has 13 cylinders"):
+        scan_cylinders(gold, 9)
 
 
 def test_enumerate_cylinders_order_and_closure():

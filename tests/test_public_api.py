@@ -25,7 +25,7 @@ TwoSidedSeq shift_two_sided parse_two_sided compare_tail_windows
 identify_partner tau_left tau_right is_admissible_right RankTie
 _window_violation _word_admissible match_indices window_taus cauchy_gap
 tent_itinerary _crosses_exact _match_data _cylinder_pairs tail_matches join_reach
-_orbit_cmp_merge
+_orbit_cmp_merge _sample_floats
 """.split()
 
 # __main__ runs the command line on import, so only the ast pass reads it
@@ -49,8 +49,8 @@ def test_root_exports():
 
 
 def test_cached_values_are_frozen_dataclasses():
-    # Scene.grid, SceneJoin.center and .radius, GlueRegion.chart and the
-    # sample memo hold only while these values cannot change
+    # Scene.grid, GlueRegion.chart and the sample memo hold only while
+    # these values cannot change
     from tentplane.cantor import CantorCoordinate
     from tentplane.glue import GlueRegion
     from tentplane.scene import Scene, SceneJoin, Segment

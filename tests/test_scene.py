@@ -107,13 +107,12 @@ def test_join_geometry_accessors():
     j = sc.joins[0]
     assert j.y_lo == j.low.y.value and j.y_hi == j.high.y.value
     assert j.y_lo < j.y_hi
-    assert j.center == (j.y_lo + j.y_hi) / 2
-    assert j.radius == (j.y_hi - j.y_lo) / 2
-    # a replaced copy computes its own, not the original's
+    # readers take a bulge's center and radius from the scene grid
+    assert not hasattr(j, "center") and not hasattr(j, "radius")
+    # a replaced copy reads its own ends, not the original's
     other = next(s for s in sc.segments if s.y.value not in (j.y_lo, j.y_hi))
     k = dataclasses.replace(j, high=other)
-    assert k.center == (j.y_lo + other.y.value) / 2 != j.center
-    assert k.radius == (other.y.value - j.y_lo) / 2 != j.radius
+    assert (k.y_lo, k.y_hi) == (j.y_lo, other.y.value) != (j.y_lo, j.y_hi)
 
 
 def test_cylinder_scene_frozen():

@@ -9,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 from xml.sax.saxutils import escape
 
-from conftest import figure_nu, figure_tails
+from conftest import GRID_CASES, figure_nu, figure_tails, grid_case
 
 from tentplane import (
     KneadingSequence,
@@ -24,7 +24,8 @@ from tentplane import (
     scene_to_json,
 )
 from tentplane.cli import main, parse_config
-from tentplane.errors import ConflictError, NotAdmissible, ParseError
+from tentplane.errors import ConflictError, MalformedSequence, NotAdmissible, ParseError
+from tentplane import svg as svg_module
 from tentplane.svg import render_scene
 
 import pytest
@@ -68,6 +69,64 @@ def test_render_reference_scene_counts():
     # five right bulges, six left ones
     assert svg.count(" 0 0 0 ") == 5
     assert svg.count(" 0 0 1 ") == 6
+
+
+def ref_render_scene(scene, fmt, portrait=False):
+    """render_scene as first written, every height and radius a Fraction
+    converted to float, each number spelled by ``fmt``."""
+    xs, ys = [0.0, 1.0], [0.0, 1.0]
+    for s in scene.segments:
+        xs += [float(s.x_lo), float(s.x_hi)]
+        ys.append(float(s.y.value))
+    for j in scene.joins:
+        r = float((j.y_hi - j.y_lo) / 2)
+        xs.append(float(j.x0) + r if j.side == "right" else float(j.x0) - r)
+    xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
+    sx = (800 - 96) / ((xmax - xmin) or 1.0)
+    sy = (520 - 96) / ((ymax - ymin) or 1.0)
+
+    def X(v):
+        return 48 + (v - xmin) * sx
+
+    def Y(v):
+        return 520 - 48 - (v - ymin) * sy
+
+    parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="800" height="520" viewBox="0 0 800 520">']
+    if portrait:
+        parts.append(f'<g transform="rotate(90 {fmt(400)} {fmt(260)})">')
+    parts.append(f'<rect x="{fmt(48)}" y="{fmt(48)}" width="{fmt(704)}" height="{fmt(424)}" '
+                 'fill="none" stroke="#cccccc" stroke-width="1"/>')
+    for s in scene.segments:
+        y = Y(float(s.y.value))
+        parts.append(f'<line x1="{fmt(X(float(s.x_lo)))}" y1="{fmt(y)}" x2="{fmt(X(float(s.x_hi)))}" '
+                     f'y2="{fmt(y)}" stroke="#000000" stroke-width="1.5"/>')
+    for j in scene.joins:
+        r = float((j.y_hi - j.y_lo) / 2)
+        x, y1, y2 = X(float(j.x0)), Y(float(j.y_lo)), Y(float(j.y_hi))
+        sweep = 0 if j.side == "right" else 1
+        parts.append(f'<path d="M {fmt(x)} {fmt(y1)} A {fmt(r * sx)} {fmt(r * sy)} 0 0 {sweep} {fmt(x)} '
+                     f'{fmt(y2)}" fill="none" stroke="#3355bb" stroke-width="1.2"/>')
+    for s in scene.segments:
+        y = Y(float(s.y.value))
+        parts.append(f'<text x="{fmt(X(float(s.x_hi)) + 5)}" y="{fmt(y + 3)}" '
+                     f'font-family="monospace" font-size="10">{escape(s.label)}</text>')
+    if portrait:
+        parts.append("</g>")
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+@pytest.mark.parametrize("case", GRID_CASES)
+def test_render_agrees_with_fraction_reference(case, monkeypatch):
+    # as drawn, and with every number spelled by float.hex, so that the
+    # heights, radii and bulge ends read from the scene grid are pinned
+    # bit for bit
+    sc = grid_case(case)
+    for portrait in (False, True):
+        assert render_scene(sc, portrait=portrait) == ref_render_scene(sc, lambda v: f"{float(v):.6f}", portrait)
+    monkeypatch.setattr(svg_module, "_f", lambda v: float(v).hex())
+    for portrait in (False, True):
+        assert render_scene(sc, portrait=portrait) == ref_render_scene(sc, lambda v: float(v).hex(), portrait)
 
 
 # ------------------------------------------------------------------- cli
@@ -467,6 +526,20 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert "Traceback" not in err
+
+
+def test_cylinder_depth_past_the_bound_exits_2(tmp_path, capsys):
+    # slope 2 has 2^60 words at depth 60; the listing stops at length 18
+    full = kneading_from_slope(2.0)
+    with pytest.raises(MalformedSequence, match="depth 60 is refused"):
+        build_scene(full, "(1).", depth=60)
+    text = scene_to_json(build_scene(full, "(1).", depth=3)).replace('"depth": 3', '"depth": 60')
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    for argv in (["verify", "--scene", str(path)], ["cylinders", "--nu", "1(0)", "--depth", "60"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: depth 60 is refused") and err.count("\n") == 1, (argv, err)
 
 
 def test_cli_cylinders_context_order_is_height_order():
