@@ -156,9 +156,8 @@ def _scene_from(args):
         scene = scene_from_json(text)
         return scene, opts, stored_geometry_check(json.loads(text), scene)
     nu = _nu_from(opts)
+    # a --slope nu carries its slope, which build_scene reads
     kwargs = {"x_mode": opts.get("x_mode") or "rank"}
-    if opts.get("slope") is not None:
-        kwargs["slope"] = opts["slope"]
     if opts.get("tails"):
         kwargs["tails"] = opts["tails"]
     elif opts.get("depth") is not None:

@@ -130,31 +130,18 @@ class GlueRegion:
     radii: tuple  # ascending Fractions
     eps: float
 
-    @property
-    def r_max(self) -> Fraction:
-        return self.radii[-1]
-
-    @property
-    def hull_diam(self) -> Fraction:
-        return 2 * self.r_max
-
-    @property
-    def r_outer(self) -> Fraction:
-        # a sixth of the hull diameter as collar: 2/3 of the hull on each side
-        return self.hull_diam * 2 / 3
-
-    @property
-    def region_diam(self) -> Fraction:
-        return 2 * self.r_outer
-
     @cached_property
     def chart(self) -> FloatChart:
-        # converted once per region; a replaced copy builds its own
+        # converted once per region; a replaced copy builds its own.  A
+        # collar of a sixth of the hull diameter 2 r_max gives r_outer =
+        # 4 r_max / 3 and a region diameter twice that, each one correctly
+        # rounded division of r_max's integers
+        n, d = self.radii[-1].numerator, self.radii[-1].denominator
         return FloatChart(
             tuple(float(r) for r in self.radii),
             float(self.center_y),
-            float(self.r_outer),
-            float(self.region_diam),
+            4 * n / (3 * d),
+            8 * n / (3 * d),
         )
 
 
@@ -173,8 +160,9 @@ def build_glue_stack(scene: Scene) -> list:
     """One GlueRegion per join level, shallow to deep.
 
     Levels whose joins disagree on side, abscissa or midpoint cannot be
-    charted concentrically and raise; degenerate radii or no room for a
-    tube raise ChartOverflow.
+    charted concentrically and raise; a zero radius, or a tube half-width
+    that rounds to 0.0 in floats (deep levels of deep scenes), raises
+    ChartOverflow.
     """
     # a join spanning grid heights lo..hi has center (lo + hi) / scale and
     # radius (hi - lo) / scale: the chart is worked out on those integers,
@@ -196,9 +184,9 @@ def build_glue_stack(scene: Scene) -> list:
         ceiling_gap = scale - (mid + r_max)
         if ceiling_gap > 0:
             margin = min(margin, 3 * ceiling_gap)
-        if margin <= 0:
-            raise ChartOverflow(f"level {level} chart has no room for a tube")
         eps = margin / (3 * scale) * _EPS_SCALE
+        if not eps > 0:
+            raise ChartOverflow(f"level {level} chart has no room for a tube")
         j, radii = scene.joins[members[0]], tuple(Fraction(r, scale) for r in radii)
         out.append(GlueRegion(level, j.side, float(j.x0), Fraction(mid, scale), radii, eps))
     return out
@@ -212,36 +200,7 @@ def stage_map(region: GlueRegion, point) -> tuple:
     semicircle is the flattened band and the two inward directions stay
     put.  All bulges of the level then land on their shared apexes while
     the tube boundary, and everything beyond it, is untouched."""
-    px, py = float(point[0]), float(point[1])
-    chart = region.chart
-    cy = chart.center_y
-    h = px - region.x0
-    if region.side == "left":
-        h = -h
-    dy = py - cy
-    rho = math.hypot(h, dy)
-    if rho == 0.0:
-        return (px, py)
-    # float subtraction is monotone, so the nearest radius is one of the
-    # two neighbours of rho in the ascending tuple
-    radii = chart.radii
-    i = bisect_left(radii, rho)
-    if i == 0:
-        dist = radii[0] - rho
-    elif i == len(radii):
-        dist = rho - radii[-1]
-    else:
-        dist = min(rho - radii[i - 1], radii[i] - rho)
-    a = dist / region.eps
-    if a >= 1.0:
-        return (px, py)
-    theta = math.atan2(dy, h)
-    u2 = collapse_profile(a, theta / math.pi)
-    t2 = u2 * math.pi
-    h2 = rho * math.cos(t2)
-    ny = cy + rho * math.sin(t2)
-    nx = region.x0 + h2 if region.side == "right" else region.x0 - h2
-    return (nx, ny)
+    return _moves([region], [point])[1][0]
 
 
 class _Move(NamedTuple):
@@ -258,21 +217,40 @@ def _moves(regions, points) -> tuple:
     stage order, and then each point's final image.  A point whose
     distance from a stage's chart center lies outside [r0 - 2 eps,
     r_max + 2 eps] sits at least eps from every radius, so its strength
-    is at least 1 and the stage fixes it; it is skipped.  Every other
-    point goes through ``stage_map``, so images are those of composing
-    the stage maps, bit for bit."""
+    is at least 1 and the stage fixes it; it is skipped, as is the
+    center itself.  Every other point is squeezed as ``stage_map``
+    describes, the distance computed once for both tests."""
     cur = [(float(p[0]), float(p[1])) for p in points]
     moves = [[] for _ in cur]
     for k, region in enumerate(regions):
-        x0, cy, radii = region.x0, region.chart.center_y, region.chart.radii
-        lo, hi = radii[0] - 2 * region.eps, radii[-1] + 2 * region.eps
+        x0, eps, right = region.x0, region.eps, region.side == "right"
+        cy, radii = region.chart.center_y, region.chart.radii
+        lo, hi = radii[0] - 2 * eps, radii[-1] + 2 * eps
         for i, p in enumerate(cur):
-            rho = math.hypot(p[0] - x0, p[1] - cy)
-            if rho < lo or rho > hi:
+            h, dy = p[0] - x0, p[1] - cy
+            rho = math.hypot(h, dy)
+            if rho < lo or rho > hi or rho == 0.0:
                 continue
-            q = stage_map(region, p)
+            # float subtraction is monotone, so the nearest radius is one
+            # of the two neighbours of rho in the ascending tuple
+            j = bisect_left(radii, rho)
+            if j == 0:
+                dist = radii[0] - rho
+            elif j == len(radii):
+                dist = rho - radii[-1]
+            else:
+                dist = min(rho - radii[j - 1], radii[j] - rho)
+            a = dist / eps
+            if a >= 1.0:
+                continue
+            theta = math.atan2(dy, h if right else -h)
+            t2 = collapse_profile(a, theta / math.pi) * math.pi
+            h2 = rho * math.cos(t2)
+            q = (x0 + h2 if right else x0 - h2, cy + rho * math.sin(t2))
             if q != p:
                 moves[i].append(_Move(k, p, q, math.hypot(q[0] - p[0], q[1] - p[1])))
+            # a squeezed image replaces the point even when equal to it,
+            # since (-0.0, y) == (0.0, y)
             cur[i] = q
     return moves, cur
 

@@ -14,6 +14,7 @@ from conftest import GRID_CASES, figure_nu, figure_tails, grid_case, random_tail
 from tentplane import glue
 from tentplane import (
     ChartOverflow,
+    KneadingSequence,
     TentplaneError,
     WrongContext,
     accessibility_probe,
@@ -142,11 +143,22 @@ def test_stack_structure():
     assert [len(r.radii) for r in stack] == [5, 3, 1, 1, 1]
     for r in stack:
         # the hull of level-n bulges fits in 3^(1-n) of height
-        assert r.hull_diam <= Fraction(1, 3 ** (r.level - 1))
+        assert 2 * r.radii[-1] <= Fraction(1, 3 ** (r.level - 1))
         assert r.eps > 0
-        assert r.r_max == r.radii[-1]
-        assert r.r_outer == r.hull_diam * Fraction(2, 3)
-        assert r.region_diam == 2 * r.r_outer
+        # the collar is a sixth of the hull diameter on each side; the
+        # chart holds its radius and diameter, each rounded once
+        assert r.chart.r_outer == float(_ref_r_outer(r))
+        assert r.chart.region_diam == float(2 * _ref_r_outer(r))
+
+
+def test_stack_refuses_a_tube_that_underflows():
+    # nu (10) draws n + 1 cylinders at depth n, and a level's tube
+    # half-width margin / (3 * scale) * 1e-4 shrinks by 3 a level: at
+    # depth 670 it rounds to 0.0 on levels 669 and 670, at 660 it does not
+    nu = KneadingSequence("(10)")
+    assert min(r.eps for r in build_glue_stack(build_scene(nu, "(10).", depth=660))) > 0
+    with pytest.raises(ChartOverflow, match="^level 669 chart has no room for a tube$"):
+        build_glue_stack(build_scene(nu, "(10).", depth=670))
 
 
 def _center_radius(j):
@@ -259,7 +271,7 @@ def test_stage_preserves_radius():
 def test_region_membership():
     big = GlueRegion(1, "right", 0.5, Fraction(4, 5), (Fraction(1, 4),), 0.5)
     assert in_region(big, (0.5, 0.8))
-    assert not in_region(big, (0.5 + float(big.r_outer) + 0.01, 0.8))
+    assert not in_region(big, (0.5 + float(_ref_r_outer(big)) + 0.01, 0.8))
     stack = [
         GlueRegion(1, "right", 0.0, Fraction(1, 2), (Fraction(1, 4),), 1e-6),
         GlueRegion(2, "right", 0.0, Fraction(1, 2), (Fraction(1, 8),), 1e-6),
@@ -403,10 +415,19 @@ def _ref_stage_map(region, point):
     return (nx, ny)
 
 
+def _ref_r_outer(region):
+    # the collar's radius, a sixth of the hull diameter 2 r_max beyond it
+    return region.radii[-1] * 2 * Fraction(2, 3)
+
+
+def _ref_region_diam(region):
+    return float(2 * _ref_r_outer(region))
+
+
 def _ref_in_region(region, point, slack=0.0):
     dx = float(point[0]) - region.x0
     dy = float(point[1]) - float(region.center_y)
-    return math.hypot(dx, dy) <= float(region.r_outer) + slack
+    return math.hypot(dx, dy) <= float(_ref_r_outer(region)) + slack
 
 
 def _ref_in_carved_region(stack, i, point, slack=0.0):
@@ -450,7 +471,7 @@ def ref_displacement(stack, scene, tol=1e-9):
             q = _ref_stage_map(region, cur)
             d = math.hypot(q[0] - cur[0], q[1] - cur[1])
             if d > 0:
-                lim = float(region.region_diam)
+                lim = _ref_region_diam(region)
                 worst = max(worst, d / lim)
                 if d > lim + tol:
                     bad.append((p, region.level, d, lim))
@@ -466,7 +487,7 @@ def ref_cauchy(stack, scene, tol=1e-9):
         for n in range(len(stack) + 1):
             for m in range(n + 1, len(stack) + 1):
                 gap = math.hypot(images[m][0] - images[n][0], images[m][1] - images[n][1])
-                lim = max((float(r.region_diam) for r in stack[n:m]), default=0.0)
+                lim = max((_ref_region_diam(r) for r in stack[n:m]), default=0.0)
                 if gap > lim + tol:
                     bad.append((p, n, m, gap, lim))
     return {"ok": not bad, "samples": len(pts), "failures": bad}
@@ -535,7 +556,7 @@ def test_certificates_agree_with_reference(make):
             assert not full["ok"]
             # no window limit is negative, yet every move at the stage of
             # least diameter fails
-            tight = -min(float(r.region_diam) for r in stack)
+            tight = -min(_ref_region_diam(r) for r in stack)
             assert _hex(fn(stack, sc, tol=tight)) == _hex(ref(stack, sc, tol=tight)), fn.__name__
 
 
@@ -562,29 +583,22 @@ def test_support_asks_only_deeper_regions_in_reach(monkeypatch):
         assert 0 < asked < len(calls), (tol, asked, len(calls))
 
 
-def _in_annulus(region, p):
-    # inside [r0 - 2 eps, r_max + 2 eps] around the chart center
-    rs = region.chart.radii
-    rho = math.hypot(p[0] - region.x0, p[1] - region.chart.center_y)
-    return rs[0] - 2 * region.eps <= rho <= rs[-1] + 2 * region.eps
-
-
 def test_certificates_share_one_sample_pass(monkeypatch):
     sc = build_scene(GOLD, "(101).", depth=5)
     stack = build_glue_stack(sc)
-    passes, mapped = [], []
-    real_moves, real_map = glue._moves, glue.stage_map
+    passes, squeezed = [], []
+    real_moves, real_profile = glue._moves, glue.collapse_profile
 
     def counted(regions, points):
         passes.append(len(points))
         return real_moves(regions, points)
 
-    def seen(region, point):
-        mapped.append((region, point))
-        return real_map(region, point)
+    def seen(a, y):
+        squeezed.append((a, y))
+        return real_profile(a, y)
 
     monkeypatch.setattr(glue, "_moves", counted)
-    monkeypatch.setattr(glue, "stage_map", seen)
+    monkeypatch.setattr(glue, "collapse_profile", seen)
     converted = []
     monkeypatch.setattr(glue, "scene_samples", lambda scene: converted.append(scene) or scene_samples(scene))
     # the memo holds one pass: certify a trimmed stack first, so the run
@@ -596,24 +610,30 @@ def test_certificates_share_one_sample_pass(monkeypatch):
     # samples are made on a miss only
     for expected, conversions in (([len(samples), 5 * joins], 1), ([5 * joins], 0)):
         passes.clear()
-        mapped.clear()
+        squeezed.clear()
         converted.clear()
         for fn in CERTS:
             assert fn(stack, sc)["ok"], fn.__name__
         assert passes == expected
         assert len(converted) == conversions
-        assert mapped and all(_in_annulus(region, p) for region, p in mapped)
-    # the stage maps see a sample at each stage whose annulus holds its
-    # image so far, and nowhere else
-    in_reach = 0
+        assert squeezed and all(0 <= a < 1 for a, _ in squeezed)
+    # a pass squeezes a sample at each stage where its image so far lies
+    # within eps of a radius, and nowhere else: the reference's strength
+    # and angle, one call each
+    want = Counter()
     for p in samples:
         for region in stack:
-            if _in_annulus(region, p):
-                in_reach += 1
-                p = _ref_stage_map(region, p)
-    mapped.clear()
+            h, dy = p[0] - region.x0, p[1] - float(region.center_y)
+            if region.side == "left":
+                h = -h
+            rho = math.hypot(h, dy)
+            a = min(abs(rho - float(r)) for r in region.radii) / region.eps
+            if rho != 0.0 and a < 1.0:
+                want[a, math.atan2(dy, h) / math.pi] += 1
+            p = _ref_stage_map(region, p)
+    squeezed.clear()
     glue._moves(stack, samples)
-    assert len(mapped) == in_reach < len(samples) * len(stack)
+    assert Counter(squeezed) == want and 0 < len(squeezed) < len(samples) * len(stack)
 
 
 def test_sample_pass_memo_is_keyed_by_identity():

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import tentplane
@@ -45,7 +46,9 @@ def test_root_exports():
         assert not hasattr(tentplane, name), name
     for name in ("pop", "is_pure"):
         assert not hasattr(tentplane.LeftTail, name), name
-    assert not hasattr(importlib.import_module("tentplane.glue").GlueRegion, "hull_bound_ok")
+    region = importlib.import_module("tentplane.glue").GlueRegion
+    for name in ("hull_bound_ok", "r_max", "hull_diam", "r_outer", "region_diam"):
+        assert not hasattr(region, name), name
 
 
 def test_cached_values_are_frozen_dataclasses():
@@ -57,6 +60,21 @@ def test_cached_values_are_frozen_dataclasses():
 
     for cls in (Scene, Segment, SceneJoin, GlueRegion, CantorCoordinate):
         assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, cls.__name__
+
+
+def test_runtime_imports_only_the_standard_library():
+    # every absolute import of the package names a standard-library module
+    outside = []
+    for path in sorted(Path(tentplane.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, n) for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
 
 
 def _unused_imports(source: str) -> list:

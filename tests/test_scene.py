@@ -545,9 +545,20 @@ def _star(scene, n=8):
     return dataclasses.replace(scene, joins=joins)
 
 
+def _reversed_span(scene):
+    """Two joins in the chart of the first join: A spans segments 1..10,
+    and B is given low end 12 and high end 5, so its low end lies above
+    its high end and one of its ends falls inside A."""
+    j0, segs = scene.joins[0], scene.segments
+    joins = [SceneJoin(j0.level, j0.side, segs[1], segs[10], j0.x0),
+             SceneJoin(j0.level, j0.side, segs[12], segs[5], j0.x0)]
+    return dataclasses.replace(scene, joins=joins)
+
+
 def _grid_oracle_scenes():
     """(name, scene): deep rank cylinder scenes, their tampered and
-    scrambled copies, shared-end charts and value-mode tail scenes."""
+    scrambled copies, shared-end charts, a chart with a reversed span and
+    value-mode tail scenes."""
     rng = random.Random(14)
     for name, nu, depths in (("golden", GOLD, (12, 13, 14)),
                              ("sqrt2", kneading_from_slope(math.sqrt(2)), (12, 13, 14)),
@@ -572,6 +583,7 @@ def _grid_oracle_scenes():
         yield f"golden fan {seed}", _fan(gold6, random.Random(seed))
     yield "golden star", _star(gold6)
     yield "on the arc", _on_arc(gold6)
+    yield "reversed span", _reversed_span(gold6)
     value_nu = kneading_from_slope(1.9, max_iter=512)
     for seed in range(3):
         pool = [t for t in _oracle_pool(random.Random(seed), value_nu) if is_admissible_tail(t, value_nu)]
@@ -593,6 +605,9 @@ def test_checkers_agree_with_grid_reference():
             assert got == ref_noncrossing_grid(sc), name
         else:
             assert got == ref_noncrossing_value(sc), name
+        if name == "reversed span":
+            # a span with y_lo > y_hi is not nested, whatever its sort order
+            assert [v["kind"] for v in got] == ["join-join"], got
         kinds.update(v["kind"] for v in got + between)
     assert set(kinds) == {"segment-join", "join-join", "foreign-symbols", "x-overreach"}
 

@@ -542,6 +542,25 @@ def test_cylinder_depth_past_the_bound_exits_2(tmp_path, capsys):
         assert err.startswith("error: depth 60 is refused") and err.count("\n") == 1, (argv, err)
 
 
+def test_cli_tube_underflow_exits_1(capsys):
+    # the tube half-width of levels 669 and 670 rounds to 0.0 at depth 670
+    for cmd in ("glue", "probe"):
+        assert main([cmd, "--nu", "(10)", "--L", "(10).", "--depth", "670"]) == 1, cmd
+        assert capsys.readouterr() == ("", "error: level 669 chart has no room for a tube\n"), cmd
+
+
+def test_cli_slope_orbit_is_computed_once(monkeypatch):
+    # the scene reads the slope off the nu that --slope gave, so the
+    # orbit is not run a second time to check the two agree
+    want = scene_to_json(build_scene(kneading_from_slope(1.7), "(1).", depth=4)) + "\n"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second orbit of the slope")
+
+    monkeypatch.setattr("tentplane.scene.kneading_from_slope", refuse)
+    assert run("scene", "--slope", "1.7", "--depth", "4") == (0, want)
+
+
 def test_cli_cylinders_context_order_is_height_order():
     # the integer height key orders the words as their exact heights do
     for nu, depth in ((GOLD, 7), (kneading_from_slope(2.0), 5), (kneading_from_slope(math.sqrt(2)), 8)):
