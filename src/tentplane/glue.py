@@ -20,11 +20,14 @@ collapse is injective on bulges, and the glued picture stays below the
 ceiling.  Points go through the stages in one sparse pass: a stage
 skips every point farther than 2 eps outside its innermost or
 outermost radius, which it provably fixes, and the pass records only
-the stages that change a point's image.  Four certificates read one
-such pass over the scene's samples, memoized on the region and scene
-objects, which compare by identity; collapse and the probe each make one
-pass over their own points.  Tests freeze these into pass/fail facts for
-concrete scenes.
+the stages that change a point's image.  A pass reads its points as an
+x and a y column and returns its moves and final images as columns of
+floats and ints, so it holds no object the garbage collector tracks per
+point; a report builds point tuples only for the failures it lists.
+Four certificates read one such pass over the scene's samples, memoized
+on the scene and keyed by the region objects, which compare by identity;
+collapse and the probe each make one pass over their own points.  Tests
+freeze these into pass/fail facts for concrete scenes.
 
 ``collapse_profile``/``fiber_collapse`` are the one-dimensional model
 squeeze used by the charts, kept exact (piecewise linear, rational in,
@@ -34,10 +37,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import accumulate, combinations, count
+from functools import cached_property
+from itertools import accumulate, combinations, count, groupby
 from typing import NamedTuple, Optional
 
 from .errors import ChartOverflow, TentplaneError, WrongContext
@@ -51,9 +55,14 @@ _EPS_SCALE = 1e-4
 # a stage moves a point when it carries it farther than this
 _MOVE_TOL = 1e-12
 
-# scene_samples: points per segment, and bulge angles as fractions of pi
-_SEGMENT_SAMPLES = 5
-_ARC_ANGLES = (-0.5, -0.25, 0.0, 0.25, 0.5)
+# scene_samples: points per segment at these fractions of its span, and
+# bulge angles (fractions of pi, times pi)
+_SEGMENT_STEPS = tuple(k / 4 for k in range(5))
+_ARC_TURNS = tuple(u * math.pi for u in (-0.5, -0.25, 0.0, 0.25, 0.5))
+
+# collapse_certificate: bulge angles as fractions of pi
+_BULGE_ANGLES = (-0.5, -0.3, 0.0, 0.3, 0.5)
+_BULGE_TURNS = tuple(u * math.pi for u in _BULGE_ANGLES)
 
 # support_certificate: float slack on the distance beyond which a deeper
 # region's collar cannot hold a point that a stage moves
@@ -200,34 +209,34 @@ def stage_map(region: GlueRegion, point) -> tuple:
     semicircle is the flattened band and the two inward directions stay
     put.  All bulges of the level then land on their shared apexes while
     the tube boundary, and everything beyond it, is untouched."""
-    return _moves([region], [point])[1][0]
+    return apply_gluing([region], point)
 
 
-class _Move(NamedTuple):
-    stage: int  # 0-based position in the stack
-    before: tuple
-    after: tuple
-    hop: float  # distance from before to after
+# points run through the stages, as columns of floats and ints: per move
+# in (point, stage) order, the point's index, the 0-based stage, the image
+# before and after it and the hop between them; then every final image
+_Pass = namedtuple("_Pass", "point stage bx by ax ay hop x y")
 
 
-def _moves(regions, points) -> tuple:
-    """Run a batch of points through the stages, shallowest first.
+def _moves(regions, xs, ys) -> _Pass:
+    """Run a batch of points, an x column and a y column, through the
+    stages, shallowest first.
 
-    Returns, per point, the stages that change its image, as _Moves in
-    stage order, and then each point's final image.  A point whose
-    distance from a stage's chart center lies outside [r0 - 2 eps,
+    Returns the stages that change a point's image as flat columns of
+    moves in (point, stage) order, and each point's final image.  A point
+    whose distance from a stage's chart center lies outside [r0 - 2 eps,
     r_max + 2 eps] sits at least eps from every radius, so its strength
     is at least 1 and the stage fixes it; it is skipped, as is the
     center itself.  Every other point is squeezed as ``stage_map``
     describes, the distance computed once for both tests."""
-    cur = [(float(p[0]), float(p[1])) for p in points]
-    moves = [[] for _ in cur]
+    xs, ys = [float(x) for x in xs], [float(y) for y in ys]
+    cols = ([], [], [], [], [], [], [])
     for k, region in enumerate(regions):
         x0, eps, right = region.x0, region.eps, region.side == "right"
         cy, radii = region.chart.center_y, region.chart.radii
         lo, hi = radii[0] - 2 * eps, radii[-1] + 2 * eps
-        for i, p in enumerate(cur):
-            h, dy = p[0] - x0, p[1] - cy
+        for i, x, y in zip(count(), xs, ys):
+            h, dy = x - x0, y - cy
             rho = math.hypot(h, dy)
             if rho < lo or rho > hi or rho == 0.0:
                 continue
@@ -246,23 +255,29 @@ def _moves(regions, points) -> tuple:
             theta = math.atan2(dy, h if right else -h)
             t2 = collapse_profile(a, theta / math.pi) * math.pi
             h2 = rho * math.cos(t2)
-            q = (x0 + h2 if right else x0 - h2, cy + rho * math.sin(t2))
-            if q != p:
-                moves[i].append(_Move(k, p, q, math.hypot(q[0] - p[0], q[1] - p[1])))
+            qx, qy = x0 + h2 if right else x0 - h2, cy + rho * math.sin(t2)
+            if qx != x or qy != y:
+                for col, v in zip(cols, (i, k, x, y, qx, qy, math.hypot(qx - x, qy - y))):
+                    col.append(v)
             # a squeezed image replaces the point even when equal to it,
-            # since (-0.0, y) == (0.0, y)
-            cur[i] = q
-    return moves, cur
+            # since -0.0 == 0.0
+            xs[i], ys[i] = qx, qy
+    # the moves come stage by stage; a stable sort on the point index puts
+    # them in (point, stage) order
+    order = sorted(range(len(cols[0])), key=cols[0].__getitem__)
+    return _Pass(*([col[j] for j in order] for col in cols), xs, ys)
 
 
 def apply_gluing(stack, point) -> tuple:
     """Compose the stages, shallowest first."""
-    return _moves(stack, [point])[1][0]
+    out = _moves(stack, [point[0]], [point[1]])
+    return out.x[0], out.y[0]
 
 
 def moved_stages(stack, point) -> list:
     """Indices (1-based prefix positions) of stages that move the point."""
-    return [m.stage + 1 for m in _moves(stack, [point])[0][0] if m.hop > _MOVE_TOL]
+    out = _moves(stack, [point[0]], [point[1]])
+    return [k + 1 for k, hop in zip(out.stage, out.hop) if hop > _MOVE_TOL]
 
 
 def in_region(region: GlueRegion, point, slack: float = 0.0) -> bool:
@@ -300,90 +315,79 @@ def _deeper_in_reach(stack, tol: float) -> list:
     return out
 
 
-def scene_samples(scene: Scene) -> list:
-    """Deterministic probe points on the drawn geometry, in scene order."""
-    pts = []
+def _sample_columns(scene: Scene) -> tuple:
+    """``scene_samples`` as an x and a y column."""
+    xs, ys = [], []
     for s in scene.segments:
         y, lo, hi = float(s.y), float(s.x_lo), float(s.x_hi)
-        for k in range(_SEGMENT_SAMPLES):
-            f = k / (_SEGMENT_SAMPLES - 1)
-            pts.append((lo + f * (hi - lo), y))
+        for f in _SEGMENT_STEPS:
+            xs.append(lo + f * (hi - lo))
+            ys.append(y)
     for j, (cy, r) in zip(scene.joins, scene.grid.bulges()):
         x0, sgn = float(j.x0), 1 if j.side == "right" else -1
-        for u in _ARC_ANGLES:
-            t = u * math.pi
-            pts.append((x0 + sgn * r * math.cos(t), cy + r * math.sin(t)))
-    return pts
+        for t in _ARC_TURNS:
+            xs.append(x0 + sgn * r * math.cos(t))
+            ys.append(cy + r * math.sin(t))
+    return xs, ys
 
 
-class _SamplePass(NamedTuple):
-    points: tuple  # scene_samples
-    moves: tuple  # the _Moves of each point
-    finals: tuple  # each point's image after every stage
+def scene_samples(scene: Scene) -> list:
+    """Deterministic probe points on the drawn geometry, in scene order."""
+    return list(zip(*_sample_columns(scene)))
 
 
-def _sample_pass(stack, scene: Scene) -> _SamplePass:
-    """The scene's samples, run once through the stages, shared by the
-    sampled certificates.  Keyed by the region and scene objects, which
-    are immutable and compare by identity: a hit converts nothing, and a
-    replaced scene or region misses, even one with equal fields."""
-    return _sample_pass_memo(tuple(stack), scene)
-
-
-@lru_cache(maxsize=1)
-def _sample_pass_memo(regions: tuple, scene: Scene) -> _SamplePass:
-    points = tuple(scene_samples(scene))
-    moves, finals = _moves(regions, points)
-    return _SamplePass(points, tuple(moves), tuple(finals))
+def _sample_pass(stack, scene: Scene) -> tuple:
+    """The scene's sample columns and their pass through the stages,
+    shared by the sampled certificates.  One pass is kept on the scene,
+    keyed by the region objects, which are immutable and compare by
+    identity: a hit converts nothing, a replaced scene or region misses,
+    even one with equal fields, and the pass dies with its scene."""
+    regions = tuple(stack)
+    memo = scene.__dict__.get("_glue_pass")
+    if memo is None or memo[0] != regions:
+        xs, ys = _sample_columns(scene)
+        memo = scene.__dict__["_glue_pass"] = (regions, (xs, ys, _moves(regions, xs, ys)))
+    return memo[1]
 
 
 def support_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
     """Sampled support discipline: any stage that moves a sample moves it
     within that stage's carved region, and no sample moves twice."""
-    sp = _sample_pass(stack, scene)
+    xs, ys, sp = _sample_pass(stack, scene)
     # a deeper region out of a stage's reach is not asked about its moves
     deeper = _deeper_in_reach(stack, tol)
-    bad_support = []
-    bad_repeat = []
-    for p, moves in zip(sp.points, sp.moves):
-        moved = [m for m in moves if m.hop > _MOVE_TOL]
-        for m in moved:
-            near = deeper[m.stage]
+    bad_support, bad_repeat = [], []
+    moved = [j for j, hop in enumerate(sp.hop) if hop > _MOVE_TOL]
+    for i, run in groupby(moved, sp.point.__getitem__):
+        run = list(run)
+        for j in run:
+            k = sp.stage[j]
             if not (
-                in_carved_region(stack, m.stage, m.before, tol, near)
-                and in_carved_region(stack, m.stage, m.after, tol, near)
+                in_carved_region(stack, k, (sp.bx[j], sp.by[j]), tol, deeper[k])
+                and in_carved_region(stack, k, (sp.ax[j], sp.ay[j]), tol, deeper[k])
             ):
-                bad_support.append((p, stack[m.stage].level))
-        if len(moved) > 1:
-            bad_repeat.append((p, [stack[m.stage].level for m in moved]))
-    return {
-        "ok": not bad_support and not bad_repeat,
-        "samples": len(sp.points),
-        "support_failures": bad_support,
-        "repeat_movers": bad_repeat,
-    }
+                bad_support.append(((xs[i], ys[i]), stack[k].level))
+        if len(run) > 1:
+            bad_repeat.append(((xs[i], ys[i]), [stack[sp.stage[j]].level for j in run]))
+    return {"ok": not bad_support and not bad_repeat, "samples": len(xs),
+            "support_failures": bad_support, "repeat_movers": bad_repeat}
 
 
 def displacement_certificate(stack, scene: Scene, tol: float = 1e-9) -> dict:
     """Per-stage displacement of every sample stays within the moving
     stage's region diameter."""
-    sp = _sample_pass(stack, scene)
-    worst = 0.0
-    bad = []
-    for p, moves in zip(sp.points, sp.moves):
-        for m in moves:
-            region = stack[m.stage]
-            lim = region.chart.region_diam
-            worst = max(worst, m.hop / lim)
-            if m.hop > lim + tol:
-                bad.append((p, region.level, m.hop, lim))
-    return {"ok": not bad, "samples": len(sp.points), "worst_ratio": worst, "failures": bad}
+    xs, ys, sp = _sample_pass(stack, scene)
+    lims = [r.chart.region_diam for r in stack]
+    worst = max([0.0] + [hop / lims[k] for k, hop in zip(sp.stage, sp.hop)])
+    bad = [((xs[i], ys[i]), stack[k].level, hop, lims[k])
+           for i, k, hop in zip(sp.point, sp.stage, sp.hop) if hop > lims[k] + tol]
+    return {"ok": not bad, "samples": len(xs), "worst_ratio": worst, "failures": bad}
 
 
 def cauchy_certificate(stack, scene: Scene, tol: float = 1e-9) -> dict:
     """Tail estimate: between any two prefix depths the image moves at
     most by the largest region diameter in the window."""
-    sp = _sample_pass(stack, scene)
+    xs, ys, sp = _sample_pass(stack, scene)
     diams = [r.chart.region_diam for r in stack]
     # lims[n][m - n - 1]: the largest diameter of stages n+1..m
     lims = [list(accumulate(diams[n:], max, initial=0.0))[1:] for n in range(len(stack))]
@@ -392,13 +396,15 @@ def cauchy_certificate(stack, scene: Scene, tol: float = 1e-9) -> dict:
     # that moves once fails only on a pair spanning its move, whose gap
     # is that move's hop
     quiet = min(diams, default=0.0) + tol >= 0
+    runs = Counter(sp.point)
+    todo = dict.fromkeys(i for i, k, hop in zip(sp.point, sp.stage, sp.hop)
+                         if runs[i] > 1 or not hop <= diams[k] + tol) if quiet else range(len(xs))
     bad = []
-    for p, moves in zip(sp.points, sp.moves):
-        if quiet and (
-            not moves or len(moves) == 1 and moves[0].hop <= diams[moves[0].stage] + tol
-        ):
-            continue
-        after = {m.stage: m.after for m in moves}
+    for i in todo:
+        a = bisect_left(sp.point, i)  # the point's moves are sp.point[a:b]
+        b = a + runs[i]
+        p = xs[i], ys[i]
+        after = dict(zip(sp.stage[a:b], zip(sp.ax[a:b], sp.ay[a:b])))
         images = list(accumulate(range(len(stack)), lambda q, k: after.get(k, q), initial=p))
         for n, row in enumerate(lims):
             xn, yn = images[n]
@@ -406,46 +412,46 @@ def cauchy_certificate(stack, scene: Scene, tol: float = 1e-9) -> dict:
                 gap = math.hypot(xm - xn, ym - yn)
                 if gap > lim + tol:
                     bad.append((p, n, m, gap, lim))
-    return {"ok": not bad, "samples": len(sp.points), "failures": bad}
+    return {"ok": not bad, "samples": len(xs), "failures": bad}
 
 
 def collapse_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
     """Every bulge lands on its own apex, one apex per radius."""
     levels = dict(_levels(scene))
     radii = [r for _, r in scene.grid.bulges()]
-    bulges = []  # (level, angle, apex, point on the bulge)
-    apexes: dict = {}  # per level, across regions
+    # per bulge its level and apex, then a point per angle on it
+    lv, apx, apy, xs, ys = [], [], [], [], []
+    apexes: dict = {}  # per level, across regions: indices of apexes
     for region in stack:
         sgn = 1 if region.side == "right" else -1
         cy = region.chart.center_y
         for a in levels[region.level]:
             r = radii[a]
-            apex = (region.x0 + sgn * r, cy)
-            apexes.setdefault(region.level, []).append(apex)
-            for u in (-0.5, -0.3, 0.0, 0.3, 0.5):
-                t = u * math.pi
-                p = (region.x0 + sgn * r * math.cos(t), cy + r * math.sin(t))
-                bulges.append((region.level, u, apex, p))
+            apexes.setdefault(region.level, []).append(len(apx))
+            lv.append(region.level)
+            apx.append(region.x0 + sgn * r)
+            apy.append(cy)
+            for t in _BULGE_TURNS:
+                xs.append(region.x0 + sgn * r * math.cos(t))
+                ys.append(cy + r * math.sin(t))
+    out = _moves(stack, xs, ys)
     bad = []
-    for (level, u, apex, _), q in zip(bulges, _moves(stack, [b[3] for b in bulges])[1]):
-        if math.hypot(q[0] - apex[0], q[1] - apex[1]) > tol:
-            bad.append((level, u, q, apex))
+    for n, qx, qy in zip(count(), out.x, out.y):
+        a = n // len(_BULGE_TURNS)
+        if math.hypot(qx - apx[a], qy - apy[a]) > tol:
+            bad.append((lv[a], _BULGE_ANGLES[n % len(_BULGE_TURNS)], (qx, qy), (apx[a], apy[a])))
     sep_ok = not any(
-        math.hypot(a[0] - b[0], a[1] - b[1]) <= tol for pts in apexes.values() for a, b in combinations(pts, 2)
+        math.hypot(apx[a] - apx[b], apy[a] - apy[b]) <= tol for ks in apexes.values() for a, b in combinations(ks, 2)
     )
     return {"ok": not bad and sep_ok, "failures": bad, "apexes_distinct": sep_ok}
 
 
 def ceiling_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
     """Nothing drawn at or below height 1 ends up above it."""
-    sp = _sample_pass(stack, scene)
-    ends = [(p, q) for p, q in zip(sp.points, sp.finals) if p[1] <= 1 + 1e-12]
-    worst = 0.0
-    bad = []
-    for p, q in ends:
-        worst = max(worst, q[1])
-        if q[1] > 1 + tol:
-            bad.append((p, q))
+    xs, ys, sp = _sample_pass(stack, scene)
+    ends = [i for i, y in enumerate(ys) if y <= 1 + 1e-12]
+    worst = max([0.0] + [sp.y[i] for i in ends])
+    bad = [((xs[i], ys[i]), (sp.x[i], sp.y[i])) for i in ends if sp.y[i] > 1 + tol]
     return {"ok": not bad, "samples": len(ends), "max_height": worst, "failures": bad}
 
 
@@ -531,21 +537,15 @@ def accessibility_probe(
     nsamples = 0
     if witness is None:
         ys = [ty + (top - ty) * k / _PROBE_STEPS for k in range(1, _PROBE_STEPS + 1)]
-        moves = _moves(stack, [(x, y) for y in ys])[0]
-        nsamples = next(
-            (k for k, ms in enumerate(moves, 1) if any(m.hop > _MOVE_TOL for m in ms)), None
-        )
+        out = _moves(stack, [x] * _PROBE_STEPS, ys)
+        # moves come in point order: the first past _MOVE_TOL is the
+        # lowest sample that moves
+        nsamples = next((i + 1 for i, hop in zip(out.point, out.hop) if hop > _MOVE_TOL), None)
         if nsamples is None:
             nsamples = _PROBE_STEPS
         else:
             moved_hits = 1
             witness = {"kind": "glue-motion", "y": ys[nsamples - 1]}
 
-    return ProbeReport(
-        accessible=witness is None,
-        target_label=target.label,
-        probe_x=x,
-        witness=witness,
-        moved_stage_hits=moved_hits,
-        samples=nsamples,
-    )
+    return ProbeReport(accessible=witness is None, target_label=target.label, probe_x=x,
+                       witness=witness, moved_stage_hits=moved_hits, samples=nsamples)

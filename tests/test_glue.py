@@ -1,6 +1,9 @@
 """Fiber squeeze, glue charts, certificates, and the probe."""
+import gc
 import math
 import random
+import weakref
+from array import array
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -566,7 +569,7 @@ def test_support_asks_only_deeper_regions_in_reach(monkeypatch):
     calls = []
     real = glue.in_region
     monkeypatch.setattr(glue, "in_region", lambda r, p, slack=0.0: calls.append(r) or real(r, p, slack))
-    sp = glue._sample_pass(stack, sc)
+    sp = glue._sample_pass(stack, sc)[2]
     for tol in (1e-6, 0.0, -1e-3):
         calls.clear()
         got = support_certificate(stack, sc, tol=tol)
@@ -574,12 +577,11 @@ def test_support_asks_only_deeper_regions_in_reach(monkeypatch):
         assert got == ref_support(stack, sc, tol=tol)
         # the loop before: every deeper region, for each move of a sample
         calls.clear()
-        for moves in sp.moves:
-            for m in moves:
-                if m.hop > glue._MOVE_TOL:
-                    for q in (m.before, m.after):
-                        if not in_carved_region(stack, m.stage, q, tol):
-                            break
+        for k, bx, by, ax, ay, hop in zip(sp.stage, sp.bx, sp.by, sp.ax, sp.ay, sp.hop):
+            if hop > glue._MOVE_TOL:
+                for q in ((bx, by), (ax, ay)):
+                    if not in_carved_region(stack, k, q, tol):
+                        break
         assert 0 < asked < len(calls), (tol, asked, len(calls))
 
 
@@ -587,11 +589,11 @@ def test_certificates_share_one_sample_pass(monkeypatch):
     sc = build_scene(GOLD, "(101).", depth=5)
     stack = build_glue_stack(sc)
     passes, squeezed = [], []
-    real_moves, real_profile = glue._moves, glue.collapse_profile
+    real_moves, real_profile, real_columns = glue._moves, glue.collapse_profile, glue._sample_columns
 
-    def counted(regions, points):
-        passes.append(len(points))
-        return real_moves(regions, points)
+    def counted(regions, xs, ys):
+        passes.append(len(xs))
+        return real_moves(regions, xs, ys)
 
     def seen(a, y):
         squeezed.append((a, y))
@@ -600,7 +602,7 @@ def test_certificates_share_one_sample_pass(monkeypatch):
     monkeypatch.setattr(glue, "_moves", counted)
     monkeypatch.setattr(glue, "collapse_profile", seen)
     converted = []
-    monkeypatch.setattr(glue, "scene_samples", lambda scene: converted.append(scene) or scene_samples(scene))
+    monkeypatch.setattr(glue, "_sample_columns", lambda scene: converted.append(scene) or real_columns(scene))
     # the memo holds one pass: certify a trimmed stack first, so the run
     # below starts without one for (stack, sc)
     support_certificate(stack[:-1], sc)
@@ -632,7 +634,7 @@ def test_certificates_share_one_sample_pass(monkeypatch):
                 want[a, math.atan2(dy, h) / math.pi] += 1
             p = _ref_stage_map(region, p)
     squeezed.clear()
-    glue._moves(stack, samples)
+    glue._moves(stack, [p[0] for p in samples], [p[1] for p in samples])
     assert Counter(squeezed) == want and 0 < len(squeezed) < len(samples) * len(stack)
 
 
@@ -676,6 +678,79 @@ def test_sample_pass_memo_is_keyed_by_identity():
         assert glue._sample_pass(copy, sc) is not sp
         for fn, ref in pairs:
             assert _hex(fn(copy, sc)) == _hex(ref(copy, sc)), fn.__name__
+
+
+def _moves_by_point(out, n):
+    """A pass's move columns as per-point lists of (stage, before, after,
+    hop)."""
+    per = [[] for _ in range(n)]
+    for i, k, bx, by, ax, ay, hop in zip(out.point, out.stage, out.bx, out.by, out.ax, out.ay, out.hop):
+        per[i].append((k, (bx, by), (ax, ay), hop))
+    return per
+
+
+def _untracked_columns(*cols):
+    """Each column is a list or array of floats and ints, none of them
+    an object the garbage collector tracks."""
+    return all(
+        isinstance(col, (list, array)) and all(type(v) in (float, int) and not gc.is_tracked(v) for v in col)
+        for col in cols
+    )
+
+
+def _containers(*roots):
+    """How many objects other than numbers are reachable from roots
+    through lists, tuples, dicts and arrays.  A tuple of floats counts
+    although the collector may untrack it once it survives a pass."""
+    seen, todo = {}, list(roots)
+    while todo:
+        o = todo.pop()
+        if id(o) not in seen and type(o) not in (float, int):
+            seen[id(o)] = o
+            if isinstance(o, (list, tuple, dict, array)):
+                todo += o.values() if isinstance(o, dict) else o
+    return len(seen)
+
+
+def test_passes_hold_no_tracked_object_per_sample(monkeypatch):
+    sc = build_scene(GOLD, "(101).", depth=7)
+    stack = build_glue_stack(sc)
+    nsamples = len(scene_samples(sc))
+    assert nsamples > 300
+    # the memoized pass: what support_certificate leaves on the scene is
+    # a fixed number of containers, none of them per sample
+    assert sc.grid
+    kept = set(vars(sc))
+    assert support_certificate(stack, sc)["ok"]
+    memo = [v for k, v in vars(sc).items() if k not in kept]
+    assert len(memo) == 1 and _containers(memo) < 20 + len(stack)
+    xs, ys, sp = glue._sample_pass(stack, sc)
+    assert len(xs) == nsamples and _untracked_columns(xs, ys, *sp)
+    # collapse's pass and the probe's pass, columns in and out
+    seen = []
+    real = glue._moves
+
+    def kept(regions, xs, ys):
+        seen.append((xs, ys, real(regions, xs, ys)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(glue, "_moves", kept)
+    assert collapse_certificate(stack, sc)["ok"]
+    assert accessibility_probe(sc, stack).accessible
+    assert [len(xs) for xs, _, _ in seen] == [5 * len(sc.joins), 64]
+    for xs, ys, out in seen:
+        assert _untracked_columns(xs, ys, *out)
+
+
+def test_sample_pass_dies_with_its_scene():
+    sc = build_scene(GOLD, "(101).", depth=12)
+    stack = build_glue_stack(sc)
+    ref = weakref.ref(sc)
+    for fn in CERTS:
+        assert fn(stack, sc)["ok"], fn.__name__
+    assert accessibility_probe(sc, stack).accessible
+    del sc, stack
+    assert ref() is None
 
 
 def _edge_radii(region):
@@ -737,9 +812,10 @@ def test_chart_maps_agree_with_reference(make, most_radii):
         # the sparse pass, stage by stage: a move wherever the reference
         # image changes, and the same image after every stage
         points = samples + [p for r in dict.fromkeys(stack) for p in edges[id(r)]]
-        moves, finals = glue._moves(stack, points)
+        out = glue._moves(stack, [p[0] for p in points], [p[1] for p in points])
+        assert list(zip(out.point, out.stage)) == sorted(zip(out.point, out.stage))
         moved = 0
-        for p, got, final in zip(points, moves, finals):
+        for p, got, final in zip(points, _moves_by_point(out, len(points)), zip(out.x, out.y)):
             want, cur = [], (float(p[0]), float(p[1]))
             for k, region in enumerate(stack):
                 q = _ref_stage_map(region, cur)
