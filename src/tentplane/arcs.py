@@ -30,7 +30,7 @@ that is ``scan_tails``, the one pass that knows the tails' scan windows.
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -256,22 +256,24 @@ class Join:
 
 def _flip_joins(arcs, nu: KneadingSequence, flip) -> list:
     """Joins among the items of ``(item, window, matches)`` triples, each
-    with its slot-0 side as ``low``.
+    as ``(level, side, i, j)``: ``i`` and ``j`` are positions in ``arcs``,
+    ``i`` on the slot-0 side.
 
     The window must reach every partner's slot, and the matches are its
     ``head_matches``; ``flip(a, m)`` is ``a`` with slot -m raised from 0
     to 1.  A partner listed n times gives n joins.
     """
-    pool = Counter(a for a, _, _ in arcs)
+    at: dict = {}  # each item's positions
+    for i, (a, _, _) in enumerate(arcs):
+        at.setdefault(a, []).append(i)
     out = []
-    for a, w, ks in arcs:
+    for i, (a, w, ks) in enumerate(arcs):
         for k in ks:
-            i = len(w) - 1 - k  # slot -(k+1), just before the matched suffix
-            if i < 0 or w[i] == "1":
+            s = len(w) - 1 - k  # slot -(k+1), just before the matched suffix
+            if s < 0 or w[s] == "1":
                 continue  # handle each unordered pair once, from its 0 side
-            b = flip(a, k + 1)
-            if pool[b]:
-                out += [Join(k + 1, side_of_level(nu, k + 1), a, b)] * pool[b]
+            for j in at.get(flip(a, k + 1), ()):
+                out.append((k + 1, side_of_level(nu, k + 1), i, j))
     return out
 
 
@@ -287,13 +289,14 @@ def boundary_pairs(tails, nu: KneadingSequence, check_tau: bool = False) -> list
     scans = scan_tails(ts, nu)
     arcs = [(t, scans[t].window, scans[t].joins) for t in ts]
     out = []
-    for j in _flip_joins(arcs, nu, flip_at):
+    for level, side, i, j in _flip_joins(arcs, nu, flip_at):
+        low, high = ts[i], ts[j]
         if check_tau:
-            k = 1 if j.side == "right" else 0
-            if any(_landing(t, nu, scans[t].landing)[k] != j.level for t in (j.low, j.high)):
+            k = 1 if side == "right" else 0
+            if any(_landing(t, nu, scans[t].landing)[k] != level for t in (low, high)):
                 continue
-        if str(j.high) < str(j.low):
-            j = Join(j.level, j.side, j.high, j.low)
-        out.append(j)
+        if str(high) < str(low):
+            low, high = high, low
+        out.append(Join(level, side, low, high))
     out.sort(key=lambda j: (j.level, str(j.low)))
     return out

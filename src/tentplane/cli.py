@@ -89,12 +89,11 @@ def parse_config(text: str) -> dict:
     """
     out: dict = {}
     if text.lstrip().startswith("{"):
+        # JSON that starts with "{" decodes to an object or not at all
         try:
             data = json.loads(text)
         except json.JSONDecodeError as e:
             raise ParseError(e.msg, line=e.lineno, col=e.colno) from None
-        if not isinstance(data, dict):
-            raise ParseError("config must be an object")
         items = [(key, val, None, None) for key, val in data.items()]
     else:
         items = []
@@ -218,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slope", type=float)
     p.add_argument("--nu")
     p.add_argument("--L", "--context", dest="context")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=int)
     p.add_argument("--config")
 
     p = sub.add_parser("scene", help="build a scene and write JSON")
@@ -279,6 +278,8 @@ def _dispatch(args) -> int:
     if cmd == "cylinders":
         opts = _merge_config(args)
         nu = _nu_from(opts)
+        if opts.get("depth") is None:
+            raise ParseError("need --depth")
         words = enumerate_cylinders(nu, opts["depth"])
         if opts.get("context"):
             # bottom-to-top in the height order the context induces: the

@@ -501,15 +501,14 @@ def accessibility_probe(
         x = (float(target.x_lo) + float(target.x_hi)) / 2
     elif not float(target.x_lo) - _PROBE_TOL <= x <= float(target.x_hi) + _PROBE_TOL:
         raise WrongContext(f"probe abscissa {x} misses the target arc")
-    ty = float(target.y)
-    top = max(2.0, ty + 1.0)
+    ty = float(target.y)  # the probe starts at height 2, above all of [0, 1]
     witness = None
 
     for s in scene.segments:
         if s is target:
             continue
         y = float(s.y)
-        if ty < y <= top and float(s.x_lo) - _PROBE_TOL <= x <= float(s.x_hi) + _PROBE_TOL:
+        if ty < y and float(s.x_lo) - _PROBE_TOL <= x <= float(s.x_hi) + _PROBE_TOL:
             witness = {"kind": "segment", "label": s.label, "y": y}
             break
     if witness is None:
@@ -523,7 +522,7 @@ def accessibility_probe(
                 continue
             arm = math.sqrt(max(r * r - dx * dx, 0.0))
             for y in (cy + arm, cy - arm):
-                if ty + _PROBE_TOL < y <= top:
+                if ty + _PROBE_TOL < y:
                     witness = {
                         "kind": "join",
                         "join": (j.level, j.low.label, j.high.label),
@@ -536,7 +535,7 @@ def accessibility_probe(
     moved_hits = 0
     nsamples = 0
     if witness is None:
-        ys = [ty + (top - ty) * k / _PROBE_STEPS for k in range(1, _PROBE_STEPS + 1)]
+        ys = [ty + (2.0 - ty) * k / _PROBE_STEPS for k in range(1, _PROBE_STEPS + 1)]
         out = _moves(stack, [x] * _PROBE_STEPS, ys)
         # moves come in point order: the first past _MOVE_TOL is the
         # lowest sample that moves

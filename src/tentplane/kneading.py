@@ -63,9 +63,8 @@ from .sequences import (
     RANK,
     SYMBOLS,
     LeftTail,
-    Order,
     RightSeq,
-    compare_right,
+    parity,
     parse_right,
 )
 
@@ -93,18 +92,16 @@ def modify_star(seq: Union[str, RightSeq]) -> RightSeq:
 
     Input must be purely periodic with exactly one ``*``, in the last
     slot of the period.  The star is replaced by whichever of ``0``/``1``
-    makes the periodic word smaller in the signed-lex order.
+    makes the periodic word smaller in the signed-lex order: the two
+    completions first differ after the body, so ``0`` when the body holds
+    an even number of 1s and ``1`` when odd.
     """
     if isinstance(seq, str):
         seq = parse_right(seq)
     if seq.preperiod or seq.period.count("*") != 1 or not seq.period.endswith("*"):
         raise MalformedStarPeriod(f"cannot resolve {seq}")
     body = seq.period[:-1]
-    cand0 = RightSeq("", body + "0")
-    cand1 = RightSeq("", body + "1")
-    if compare_right(cand0, cand1).order is Order.LESS:
-        return cand0
-    return cand1
+    return RightSeq("", body + "01"[parity(body)])
 
 
 def validate_kneading(seq: RightSeq, depth: Optional[int] = None):
@@ -406,15 +403,15 @@ def scan_cylinders(nu: KneadingSequence, depth: int) -> list:
         raise MalformedSequence(f"depth must lie in 1..{sys.maxsize}, got {depth}")
     scan = HeadScan(nu, depth)
     # grown level by level, so the depth is not bounded by the call stack,
-    # each word with its signed-lex key: bit j (from the top) is the parity
-    # of the 1s among its first j + 1 symbols, which orders words of one
-    # length as ``plex_key`` does, and its lowest bit is the word's parity
+    # and in order: words of one length first differ after a shared
+    # prefix, whose parity of 1s puts 0 first when even and 1 first when
+    # odd, so each word lists its children in that order after its parent's
     level = [("", scan.start, 0)]
     for n in range(1, depth + 1):
         level = [
-            (w + s, state, (key << 1) | ((key & 1) ^ one))
-            for w, prev, key in level
-            for s, one in (("0", 0), ("1", 1))
+            (w + s, state, odd ^ (s == "1"))
+            for w, prev, odd in level
+            for s in ("10" if odd else "01")
             for state in (scan.read(s, prev),)
             if not state[2]
         ]
@@ -422,7 +419,6 @@ def scan_cylinders(nu: KneadingSequence, depth: int) -> list:
             raise MalformedSequence(
                 f"depth {depth} is refused: length {n} has {len(level)} cylinders, more than {_MAX_CYLINDERS}"
             )
-    level.sort(key=lambda e: e[2])
     return [(w, _bits(up | 1)) for w, (up, _, _), _ in level]
 
 

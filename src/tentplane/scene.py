@@ -189,22 +189,16 @@ def build_scene(
         Segment(label, cantor_coordinate(tail, context), p, xs[p.lo_index], xs[p.hi_index], tail=tail)
         for label, tail, p in entries
     ]
-    segments, joins = _placed(drawn, _by_position(raw, labels), xs)
+    segments, joins = _placed(drawn, raw, xs)
     return Scene(nu, context, "tails", x_mode, segments, joins, depth=depth, slope=slope)
 
 
 def _indices(projections, raw) -> set:
     # the orbit indices a scene places: 2, every landing index, every level
-    out = {2, *(j.level for j in raw)}
+    out = {2, *(level for level, *_ in raw)}
     for p in projections:
         out |= {p.lo_index, p.hi_index}
     return out
-
-
-def _by_position(raw, items) -> list:
-    # each raw join as (level, side, position of low, position of high)
-    at = {a: i for i, a in enumerate(items)}
-    return [(j.level, j.side, at[j.low], at[j.high]) for j in raw]
 
 
 def _placed(drawn: list, raw, xs) -> tuple:
@@ -236,8 +230,8 @@ class _Layout(NamedTuple):
 
     words: tuple
     projections: tuple  # each word's window projection
-    # the raw joins as (level, side, low, high), low on its slot-0 side
-    # and both ends as positions in ``words``
+    # the raw joins as ``_flip_joins`` gives them, (level, side, i, j)
+    # with ``i`` and ``j`` positions in ``words``
     joins: tuple
     xs: MappingProxyType  # resolve_x of every orbit index the scene places
     odd: tuple  # each word's ``cantor._odd`` pattern, read by its heights
@@ -259,9 +253,7 @@ def _layout(nu: KneadingSequence, depth: int, x_mode: str, slope) -> _Layout:
     projections = tuple(window_projection(ks, nu) for _, ks in scanned)
     raw = _flip_joins([(w, w, ks) for w, ks in scanned], nu, _raise_slot)
     xs = resolve_x(_indices(projections, raw), nu, mode=x_mode, slope=slope)
-    return _Layout(
-        words, projections, tuple(_by_position(raw, words)), MappingProxyType(xs), tuple(map(_odd, words))
-    )
+    return _Layout(words, projections, tuple(raw), MappingProxyType(xs), tuple(map(_odd, words)))
 
 
 def _check_slope(nu: KneadingSequence, slope) -> None:

@@ -21,26 +21,23 @@ def _f(v: float) -> str:
 
 
 def render_scene(scene: Scene, *, portrait: bool = False) -> str:
+    # heights are Cantor coordinates, in [0, 1]: y maps that range
     xs = [0.0, 1.0]
-    ys = [0.0, 1.0]
     for s in scene.segments:
         xs += [float(s.x_lo), float(s.x_hi)]
-        ys.append(float(s.y))
     radii = [r for _, r in scene.grid.bulges()]
     for j, r in zip(scene.joins, radii):
         xs.append(float(j.x0) + r if j.side == "right" else float(j.x0) - r)
     xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
     spanx = (xmax - xmin) or 1.0
-    spany = (ymax - ymin) or 1.0
     sx = (_WIDTH - 2 * _MARGIN) / spanx
-    sy = (_HEIGHT - 2 * _MARGIN) / spany
+    sy = float(_HEIGHT - 2 * _MARGIN)
 
     def X(v: float) -> float:
         return _MARGIN + (v - xmin) * sx
 
     def Y(v: float) -> float:
-        return _HEIGHT - _MARGIN - (v - ymin) * sy
+        return _HEIGHT - _MARGIN - v * sy
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '

@@ -96,6 +96,9 @@ def test_projection_frozen():
     assert _spans(p, GOLD)
     p = arc_projection(parse_left("(1)."), FULL)
     assert (p.lo_index, p.hi_index, p.tau_l, p.tau_r) == (2, 1, 2, 1)
+    # nu (1) has odd-parity periods: its progression matches both classes forever
+    p = arc_projection(parse_left("(1)."), KneadingSequence("(1)"))
+    assert (p.lo_index, p.hi_index, p.tau_l, p.tau_r) == (2, 1, TAU_INF, TAU_INF)
 
 
 @given(st.sampled_from(["(011)010.", "(011)110.", "(101).", "(101)0.", "(1)0."]))
@@ -539,9 +542,10 @@ def test_landing_projection_agrees_with_reference():
     rng = random.Random(41)
     nus = oracle_pool_nus(rng)
     shapes = set()
-    for n in range(600):
-        nu = nus[n % len(nus)]
-        for t, scan in scan_tails(_oracle_pool(rng, nu), nu).items():
+    # and nu (1), whose one tail matches both classes forever
+    cases = [(nus[n % len(nus)], None) for n in range(600)] + [(KneadingSequence("(1)"), [parse_left("(1).")])]
+    for nu, pool in cases:
+        for t, scan in scan_tails(pool or _oracle_pool(rng, nu), nu).items():
             ks = scan.landing
             assert _landing(t, nu, ks) == ref_landing(t, nu, ks), (str(t), str(nu))
             got = _outcome(landing_projection, t, nu, ks)

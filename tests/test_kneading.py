@@ -136,6 +136,20 @@ def test_kneading_from_slope_agrees_with_reference():
                 ref.seq, ref.validated_depth, ref.slope), (s, max_iter)
 
 
+@pytest.mark.xfail(strict=True, reason="an orbit point within _ORBIT_EPS of c but not c "
+                   "is read as the turning point, and the resulting nu is called exact")
+def test_exact_slope_nu_follows_the_exact_orbit():
+    # slope 1.0001 in Fraction arithmetic: its eighth orbit point lies
+    # 4e-16 left of c, so the exact orbit reads 10111010, not 10111011
+    s = Fraction(10001, 10000)
+    nu = kneading_from_slope.__wrapped__(s)
+    x, word = tent(s, C), ""
+    for _ in range(40):
+        word += "0" if x < C else "1" if x > C else "*"
+        x = tent(s, x)
+    assert nu.exact and nu.expand(40) == word
+
+
 def test_modify_star():
     assert str(modify_star("(10*)")) == "(101)"
     assert str(modify_star("(1*)")) == "(1)"
@@ -154,6 +168,13 @@ def test_modify_star_resolves_to_smaller():
         h = 3 * (len(body) + 1)
         c = plex_compare(resolved.expand(h), other.expand(h))
         assert c.order is not Order.GREATER
+    # the completion by the body's parity is the one the exact comparison picks
+    for n in range(1, 11):
+        for k in range(2**n):
+            body = format(k, f"0{n}b")
+            cand0, cand1 = RightSeq("", body + "0"), RightSeq("", body + "1")
+            want = cand0 if compare_right(cand0, cand1).order is Order.LESS else cand1
+            assert modify_star(f"({body}*)") == want, body
 
 
 def test_validate_kneading():
@@ -446,7 +467,8 @@ def test_scan_agrees_with_reference_rules(nu):
         assert words == enumerate_cylinders(nu, d) == ref_cylinders(nu, d), d
         # the scan finds a word's pairs shallow to deep, the reference deep
         # to shallow; scenes sort joins, so only the set is pinned
-        pairs = _flip_joins([(w, w, ks) for w, ks in scanned], nu, _raise_slot)
+        pairs = [Join(m, side, words[i], words[j])
+                 for m, side, i, j in _flip_joins([(w, w, ks) for w, ks in scanned], nu, _raise_slot)]
         ref = ref_cylinder_pairs(words, nu)
         assert len(pairs) == len(ref) and set(pairs) == set(ref), d
         # nu cut at depth d: cylinders deeper than it is trusted, and words

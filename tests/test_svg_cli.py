@@ -442,6 +442,12 @@ def test_parse_config_forms(tmp_path, capsys):
     assert parse_config("glue_stages=3")["glue_stages"] == 3
     with pytest.raises(ParseError):
         parse_config("wat=1")
+    with pytest.raises(ParseError, match="unknown key 'wat'"):
+        parse_config('{"wat": 1}')
+    # only text starting with "{" is read as JSON
+    with pytest.raises(ParseError, match="expected key=value") as e:
+        parse_config("[1, 2]")
+    assert (e.value.line, e.value.col) == (1, 1)
     with pytest.raises(ParseError):
         parse_config("no equals sign")
     with pytest.raises(ParseError):
@@ -464,11 +470,17 @@ def test_parse_config_forms(tmp_path, capsys):
     assert capsys.readouterr().err == "error: bad value 'abc' for key 'depth' (line 2, col 7)\n"
 
 
-def test_cli_config_file(tmp_path):
+def test_cli_config_file(tmp_path, capsys):
     cfg = tmp_path / "job.cfg"
     cfg.write_text("nu=(101)\nL=(101).\ndepth=3\n")
     code, out = run("scene", "--config", str(cfg))
     assert code == 0 and json.loads(out)["L"] == "(101)."
+    # cylinders reads its depth from the file too, and needs one from somewhere
+    code, out = run("cylinders", "--config", str(cfg))
+    assert (code, out) == run("cylinders", "--nu", "(101)", "--L", "(101).", "--depth", "3") and code == 0
+    capsys.readouterr()
+    assert run("cylinders", "--nu", "(101)")[0] == 2
+    assert capsys.readouterr().err == "error: need --depth\n"
     # explicit flags win over the config file
     code, out = run("scene", "--config", str(cfg), "--depth", "2")
     assert code == 0 and json.loads(out)["depth"] == 2
