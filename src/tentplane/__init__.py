@@ -8,7 +8,7 @@ collapse maps with runtime certificates in place of proofs.
 
 The package root exports the names the scene pipeline, the command line
 and the acceptance suite use; helpers such as ``plex_compare``,
-``orbit_compare`` or ``stage_map`` are imported from their submodules.
+``orbit_compare`` or ``head_matches`` are imported from their submodules.
 """
 from .cantor import block_midpoint, cantor_coordinate, compare_tails
 from .arcs import arc_projection, boundary_pairs, resolve_x

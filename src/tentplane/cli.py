@@ -34,6 +34,7 @@ from .kneading import KneadingSequence, enumerate_cylinders, kneading_from_slope
 from .scene import (
     betweenness_check,
     build_scene,
+    check_context,
     scene_from_json,
     scene_to_json,
     stored_geometry_check,
@@ -144,16 +145,15 @@ def _nu_from(opts) -> KneadingSequence:
     raise ParseError("need --slope or --nu")
 
 
-def _scene_from(args):
-    """Build (scene, merged options, stored-geometry violations) from the
-    parsed arguments; the violations compare a --scene file's rows with
-    the rebuilt scene and are empty without --scene."""
-    opts = _merge_config(args)
+def _scene_from(args, opts):
+    """Build (scene, stored-geometry violations) from the parsed arguments
+    and their merged options; the violations compare a --scene file's
+    rows with the rebuilt scene and are empty without --scene."""
     if getattr(args, "scene", None):
         with open(args.scene, encoding="utf-8") as fh:
             text = fh.read()
         scene = scene_from_json(text)
-        return scene, opts, stored_geometry_check(json.loads(text), scene)
+        return scene, stored_geometry_check(json.loads(text), scene)
     nu = _nu_from(opts)
     # a --slope nu carries its slope, which build_scene reads
     kwargs = {"x_mode": opts.get("x_mode") or "rank"}
@@ -163,16 +163,12 @@ def _scene_from(args):
         kwargs["depth"] = opts["depth"]
     else:
         raise ParseError("need --tails or --depth")
-    return build_scene(nu, opts.get("context") or "(1).", **kwargs), opts, []
+    return build_scene(nu, opts.get("context") or "(1).", **kwargs), []
 
 
 def _trim_stack(stack, opts):
     n = opts.get("glue_stages")
-    if n is None:
-        return stack
-    if n < 0:
-        raise ParseError(f"glue stages must be at least 0, got {n}")
-    return [r for r in stack if r.level <= n]
+    return stack if n is None else [r for r in stack if r.level <= n]
 
 
 def _report(bad) -> int:
@@ -267,16 +263,15 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    cmd = args.command
+    cmd, opts = args.command, _merge_config(args)
     if cmd == "kneading":
-        nu = _nu_from(_merge_config(args))
+        nu = _nu_from(opts)
         print(nu.seq)
         depth = "exact" if nu.exact else str(int(nu.validated_depth))
         print(f"validated: {depth}")
         return 0
 
     if cmd == "cylinders":
-        opts = _merge_config(args)
         nu = _nu_from(opts)
         if opts.get("depth") is None:
             raise ParseError("need --depth")
@@ -285,12 +280,17 @@ def _dispatch(args) -> int:
             # bottom-to-top in the height order the context induces: the
             # words share a length, so their heights share one scale
             ctx = parse_left(opts["context"])
+            check_context(ctx, nu)
             words = sorted(words, key=lambda w: block_midpoint(w, ctx).scaled[0])
         for w in words:
             print(w)
         return 0
 
-    scene, opts, stored_bad = _scene_from(args)
+    n = opts.get("glue_stages")
+    if cmd in ("glue", "probe") and n is not None and n < 0:
+        # refused before a scene is built, which may be slow or fail
+        raise ParseError(f"glue stages must be at least 0, got {n}")
+    scene, stored_bad = _scene_from(args, opts)
     if cmd == "verify":
         return _report(verify_noncrossing(scene) + betweenness_check(scene) + stored_bad)
     if stored_bad:

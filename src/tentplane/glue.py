@@ -55,7 +55,7 @@ _EPS_SCALE = 1e-4
 # a stage moves a point when it carries it farther than this
 _MOVE_TOL = 1e-12
 
-# scene_samples: points per segment at these fractions of its span, and
+# _sample_columns: points per segment at these fractions of its span, and
 # bulge angles (fractions of pi, times pi)
 _SEGMENT_STEPS = tuple(k / 4 for k in range(5))
 _ARC_TURNS = tuple(u * math.pi for u in (-0.5, -0.25, 0.0, 0.25, 0.5))
@@ -201,17 +201,6 @@ def build_glue_stack(scene: Scene) -> list:
     return out
 
 
-def stage_map(region: GlueRegion, point) -> tuple:
-    """Apply one gluing stage to a point of the plane.
-
-    Points inside any of the level's thin tubes get their polar angle
-    squeezed by the fiber profile, in half-turn units so the outward
-    semicircle is the flattened band and the two inward directions stay
-    put.  All bulges of the level then land on their shared apexes while
-    the tube boundary, and everything beyond it, is untouched."""
-    return apply_gluing([region], point)
-
-
 # points run through the stages, as columns of floats and ints: per move
 # in (point, stage) order, the point's index, the 0-based stage, the image
 # before and after it and the hop between them; then every final image
@@ -222,13 +211,19 @@ def _moves(regions, xs, ys) -> _Pass:
     """Run a batch of points, an x column and a y column, through the
     stages, shallowest first.
 
+    A stage squeezes the polar angle of a point inside any of its level's
+    thin tubes by the fiber profile, in half-turn units, so the outward
+    semicircle is the flattened band and the two inward directions stay
+    put.  All bulges of the level then land on their shared apexes while
+    the tube boundary, and everything beyond it, is untouched.
+
     Returns the stages that change a point's image as flat columns of
     moves in (point, stage) order, and each point's final image.  A point
     whose distance from a stage's chart center lies outside [r0 - 2 eps,
     r_max + 2 eps] sits at least eps from every radius, so its strength
     is at least 1 and the stage fixes it; it is skipped, as is the
-    center itself.  Every other point is squeezed as ``stage_map``
-    describes, the distance computed once for both tests."""
+    center itself.  Every other point is squeezed, the distance computed
+    once for both tests."""
     xs, ys = [float(x) for x in xs], [float(y) for y in ys]
     cols = ([], [], [], [], [], [], [])
     for k, region in enumerate(regions):
@@ -268,55 +263,30 @@ def _moves(regions, xs, ys) -> _Pass:
     return _Pass(*([col[j] for j in order] for col in cols), xs, ys)
 
 
-def apply_gluing(stack, point) -> tuple:
-    """Compose the stages, shallowest first."""
-    out = _moves(stack, [point[0]], [point[1]])
-    return out.x[0], out.y[0]
+def _in_collar(x, y, collar, slack) -> bool:
+    """Inside the closed collared disk (x0, center_y, r_outer) of a
+    region, up to slack."""
+    x0, cy, r_outer = collar
+    return math.hypot(x - x0, y - cy) <= r_outer + slack
 
 
-def moved_stages(stack, point) -> list:
-    """Indices (1-based prefix positions) of stages that move the point."""
-    out = _moves(stack, [point[0]], [point[1]])
-    return [k + 1 for k, hop in zip(out.stage, out.hop) if hop > _MOVE_TOL]
-
-
-def in_region(region: GlueRegion, point, slack: float = 0.0) -> bool:
-    """Inside the closed collared disk of a region (V), up to slack."""
-    chart = region.chart
-    dx = float(point[0]) - region.x0
-    dy = float(point[1]) - chart.center_y
-    return math.hypot(dx, dy) <= chart.r_outer + slack
-
-
-def in_carved_region(stack, i: int, point, slack: float = 0.0, deeper=None) -> bool:
-    """Inside region i's collar but outside every deeper one (U_i).
-    ``deeper`` may name the only deeper regions that can hold the point."""
-    if not in_region(stack[i], point, slack):
-        return False
-    if deeper is None:
-        deeper = stack[i + 1 :]
-    return not any(in_region(r, point, -slack) for r in deeper)
-
-
-def _deeper_in_reach(stack, tol: float) -> list:
-    """Per stage, the deeper regions whose collar, grown by |tol|, can
+def _deeper_in_reach(stack, collars, tol: float) -> list:
+    """Per stage, the deeper regions' collars that, grown by |tol|, can
     hold a point the stage moves.  A stage moves only points within r_max
     + eps of its chart center and keeps their distance from it, so a
     deeper region whose center lies farther than r_max + 2 eps + its
     r_outer + |tol| (plus float slack) holds none of them.  A tube of no
-    positive width moves every point, and every deeper region is kept."""
+    positive width moves every point, and every deeper collar is kept."""
     out = []
-    for i, a in enumerate(stack):
+    for i, (a, (x0, cy, _)) in enumerate(zip(stack, collars)):
         reach = max(a.chart.radii) + 2 * a.eps + abs(tol) + _REACH_SLACK if a.eps > 0 else math.inf
-        out.append([
-            b for b in stack[i + 1 :]
-            if math.hypot(b.x0 - a.x0, b.chart.center_y - a.chart.center_y) <= reach + b.chart.r_outer
-        ])
+        out.append([c for c in collars[i + 1 :] if math.hypot(c[0] - x0, c[1] - cy) <= reach + c[2]])
     return out
 
 
 def _sample_columns(scene: Scene) -> tuple:
-    """``scene_samples`` as an x and a y column."""
+    """Deterministic probe points on the drawn geometry, in scene order,
+    as an x and a y column."""
     xs, ys = [], []
     for s in scene.segments:
         y, lo, hi = float(s.y), float(s.x_lo), float(s.x_hi)
@@ -329,11 +299,6 @@ def _sample_columns(scene: Scene) -> tuple:
             xs.append(x0 + sgn * r * math.cos(t))
             ys.append(cy + r * math.sin(t))
     return xs, ys
-
-
-def scene_samples(scene: Scene) -> list:
-    """Deterministic probe points on the drawn geometry, in scene order."""
-    return list(zip(*_sample_columns(scene)))
 
 
 def _sample_pass(stack, scene: Scene) -> tuple:
@@ -354,18 +319,21 @@ def support_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
     """Sampled support discipline: any stage that moves a sample moves it
     within that stage's carved region, and no sample moves twice."""
     xs, ys, sp = _sample_pass(stack, scene)
+    collars = [(r.x0, r.chart.center_y, r.chart.r_outer) for r in stack]
     # a deeper region out of a stage's reach is not asked about its moves
-    deeper = _deeper_in_reach(stack, tol)
+    deeper = _deeper_in_reach(stack, collars, tol)
+
+    def carved(k, x, y):
+        # inside stage k's collar but outside every deeper one (U_k)
+        return _in_collar(x, y, collars[k], tol) and not any(_in_collar(x, y, c, -tol) for c in deeper[k])
+
     bad_support, bad_repeat = [], []
     moved = [j for j, hop in enumerate(sp.hop) if hop > _MOVE_TOL]
     for i, run in groupby(moved, sp.point.__getitem__):
         run = list(run)
         for j in run:
             k = sp.stage[j]
-            if not (
-                in_carved_region(stack, k, (sp.bx[j], sp.by[j]), tol, deeper[k])
-                and in_carved_region(stack, k, (sp.ax[j], sp.ay[j]), tol, deeper[k])
-            ):
+            if not (carved(k, sp.bx[j], sp.by[j]) and carved(k, sp.ax[j], sp.ay[j])):
                 bad_support.append(((xs[i], ys[i]), stack[k].level))
         if len(run) > 1:
             bad_repeat.append(((xs[i], ys[i]), [stack[sp.stage[j]].level for j in run]))

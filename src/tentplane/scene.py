@@ -135,6 +135,13 @@ class Scene:
         return _grid(self)
 
 
+def check_context(context: LeftTail, nu: KneadingSequence) -> None:
+    """NotAdmissible unless the context is an admissible tail of nu
+    without a turning-point symbol."""
+    if "*" in str(context) or not is_admissible_tail(context, nu):
+        raise NotAdmissible(f"context {context} is not admissible")
+
+
 def build_scene(
     nu: KneadingSequence,
     context,
@@ -157,8 +164,7 @@ def build_scene(
         slope = nu.slope
     else:
         _check_slope(nu, slope)
-    if "*" in str(context) or not is_admissible_tail(context, nu):
-        raise NotAdmissible(f"context {context} is not admissible")
+    check_context(context, nu)
 
     if tails is None:
         lay = _layout(nu, depth, x_mode, slope)

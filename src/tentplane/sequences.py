@@ -50,9 +50,6 @@ class Comparison:
     order: Order
     decided: bool
 
-    def __bool__(self):
-        return self.decided
-
 
 def _check_word(w: str, *, allow_empty: bool = False, what: str = "word"):
     if not w and not allow_empty:

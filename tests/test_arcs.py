@@ -398,6 +398,7 @@ def test_orbit_ranks_agree_with_orbit_compare():
     rng = random.Random(37)
     shapes = set()
     for nu in exact + truncated:
+        assert orbit_ranks([], nu) == {}
         span = len(nu.seq.preperiod) + len(nu.seq.period)
         top = 3 * span + 2 if nu.exact else int(nu.validated_depth) + 1
         for _ in range(60):

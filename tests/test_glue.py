@@ -35,15 +35,7 @@ from tentplane import (
 )
 from tentplane.arcs import Projection
 from tentplane.cantor import parse_ternary
-from tentplane.glue import (
-    GlueRegion,
-    apply_gluing,
-    in_carved_region,
-    in_region,
-    moved_stages,
-    scene_samples,
-    stage_map,
-)
+from tentplane.glue import GlueRegion
 from tentplane.scene import Scene, SceneJoin, Segment
 from tentplane.sequences import LeftTail
 
@@ -62,6 +54,27 @@ fibers = st.fractions(min_value=-1, max_value=1, max_denominator=64)
 
 def reference_scene():
     return build_scene(figure_nu(), "(1).", tails=figure_tails() + [parse_left("(1).")])
+
+
+def _samples(sc):
+    return list(zip(*glue._sample_columns(sc)))
+
+
+def _images(stack, points):
+    """Each point's final image after one pass through the stages."""
+    out = glue._moves(stack, [p[0] for p in points], [p[1] for p in points])
+    return list(zip(out.x, out.y))
+
+
+def _collar(region):
+    return region.x0, region.chart.center_y, region.chart.r_outer
+
+
+def _carved(stack, i, p, slack):
+    # inside region i's collar but outside every deeper one (U_i), as
+    # support_certificate composes its collar tests
+    return glue._in_collar(*p, _collar(stack[i]), slack) and not any(
+        glue._in_collar(*p, _collar(r), -slack) for r in stack[i + 1 :])
 
 
 # ----------------------------------------------------------------- profile
@@ -215,7 +228,7 @@ def test_grid_readers_agree_with_fraction_reference(case):
     center and radius from the scene grid; bit for bit they give what
     the Fraction read-outs gave."""
     sc = grid_case(case)
-    assert _hex(scene_samples(sc)) == _hex(ref_scene_samples(sc))
+    assert _hex(_samples(sc)) == _hex(ref_scene_samples(sc))
     got = _outcome(build_glue_stack, sc)
     assert got == _outcome(ref_build_glue_stack, sc)
     stack = build_glue_stack(sc) if isinstance(got, list) else []
@@ -235,26 +248,30 @@ def test_grid_readers_agree_with_fraction_reference(case):
 def test_stage_collapses_bulges_to_apexes():
     sc = reference_scene()
     stack = build_glue_stack(sc)
+    points, apexes = [], []
     for j in (sc.joins[0], sc.joins[-1]):
         sgn = 1 if j.side == "right" else -1
         cy, r = map(float, _center_radius(j))
         x0 = float(j.x0)
-        apex = (x0 + sgn * r, cy)
         for u in (-0.5, -0.37, 0.0, 0.25, 0.5):
             t = u * math.pi
-            p = (x0 + sgn * r * math.cos(t), cy + r * math.sin(t))
-            q = apply_gluing(stack, p)
-            assert math.hypot(q[0] - apex[0], q[1] - apex[1]) < 1e-6
-            hits = moved_stages(stack, p)
-            assert hits == [] or len(hits) == 1
+            points.append((x0 + sgn * r * math.cos(t), cy + r * math.sin(t)))
+            apexes.append((x0 + sgn * r, cy))
+    out = glue._moves(stack, [p[0] for p in points], [p[1] for p in points])
+    for q, apex in zip(zip(out.x, out.y), apexes):
+        assert math.hypot(q[0] - apex[0], q[1] - apex[1]) < 1e-6
+    # at most one stage moves each point
+    hits = Counter(i for i, hop in zip(out.point, out.hop) if hop > glue._MOVE_TOL)
+    assert all(n == 1 for n in hits.values())
 
 
 def test_stage_fixes_far_points():
     sc = reference_scene()
     stack = build_glue_stack(sc)
-    for p in [(0.0, 0.99), (1.0, 1.0), (-0.2, 0.02), (0.5, 2.0)]:
-        assert apply_gluing(stack, p) == p
-        assert moved_stages(stack, p) == []
+    points = [(0.0, 0.99), (1.0, 1.0), (-0.2, 0.02), (0.5, 2.0)]
+    out = glue._moves(stack, [p[0] for p in points], [p[1] for p in points])
+    assert list(zip(out.x, out.y)) == points
+    assert not any(hop > glue._MOVE_TOL for hop in out.hop)
 
 
 def test_stage_preserves_radius():
@@ -265,7 +282,7 @@ def test_stage_preserves_radius():
     cy, r = map(float, _center_radius(j))
     x0 = float(j.x0)
     p = (x0 + r * math.cos(0.4 * math.pi), cy + r * math.sin(0.4 * math.pi))
-    q = stage_map(reg, p)
+    [q] = _images([reg], [p])
     rho_in = math.hypot(p[0] - x0, p[1] - cy)
     rho_out = math.hypot(q[0] - x0, q[1] - cy)
     assert rho_out == pytest.approx(rho_in, abs=1e-12)
@@ -273,16 +290,16 @@ def test_stage_preserves_radius():
 
 def test_region_membership():
     big = GlueRegion(1, "right", 0.5, Fraction(4, 5), (Fraction(1, 4),), 0.5)
-    assert in_region(big, (0.5, 0.8))
-    assert not in_region(big, (0.5 + float(_ref_r_outer(big)) + 0.01, 0.8))
+    assert glue._in_collar(0.5, 0.8, _collar(big), 0.0)
+    assert not glue._in_collar(0.5 + float(_ref_r_outer(big)) + 0.01, 0.8, _collar(big), 0.0)
     stack = [
         GlueRegion(1, "right", 0.0, Fraction(1, 2), (Fraction(1, 4),), 1e-6),
         GlueRegion(2, "right", 0.0, Fraction(1, 2), (Fraction(1, 8),), 1e-6),
     ]
-    assert in_carved_region(stack, 0, (0.3, 0.5))
+    assert _carved(stack, 0, (0.3, 0.5), 0.0)
     # inside the deeper chart, so carved out of the shallower one
-    assert not in_carved_region(stack, 0, (0.05, 0.5))
-    assert in_carved_region(stack, 1, (0.05, 0.5))
+    assert not _carved(stack, 0, (0.05, 0.5), 0.0)
+    assert _carved(stack, 1, (0.05, 0.5), 0.0)
 
 
 # ------------------------------------------------------------ certificates
@@ -291,7 +308,7 @@ def test_region_membership():
 def test_certificates_reference_scene():
     sc = reference_scene()
     stack = build_glue_stack(sc)
-    assert len(scene_samples(sc)) == 13 * 5 + 11 * 5
+    assert len(_samples(sc)) == 13 * 5 + 11 * 5
     for fn in CERTS:
         rep = fn(stack, sc)
         assert rep["ok"], (fn.__name__, rep)
@@ -545,11 +562,11 @@ def test_certificates_agree_with_reference(make):
     pairs = [(support_certificate, ref_support), (displacement_certificate, ref_displacement),
              (cauchy_certificate, ref_cauchy), (collapse_certificate, ref_collapse),
              (ceiling_certificate, ref_ceiling)]
-    assert _hex(scene_samples(sc)) == _hex(ref_scene_samples(sc))
+    samples = _samples(sc)
+    assert _hex(samples) == _hex(ref_scene_samples(sc))
     for stack in (built, built[::-1], built + built):
-        for p in scene_samples(sc):
-            assert _hex(apply_gluing(stack, p)) == _hex(_ref_image(stack, p, len(stack)))
-            assert _hex(apply_gluing(stack[:1], p)) == _hex(_ref_image(stack, p, 1))
+        assert _hex(_images(stack, samples)) == _hex([_ref_image(stack, p, len(stack)) for p in samples])
+        assert _hex(_images(stack[:1], samples)) == _hex([_ref_image(stack, p, 1) for p in samples])
         for fn, ref in pairs:
             assert _hex(fn(stack, sc)) == _hex(ref(stack, sc)), fn.__name__
             # a negative tolerance fails every checked pair, so the
@@ -567,8 +584,8 @@ def test_support_asks_only_deeper_regions_in_reach(monkeypatch):
     sc = build_scene(GOLD, "(101).", depth=7)
     stack = build_glue_stack(sc)
     calls = []
-    real = glue.in_region
-    monkeypatch.setattr(glue, "in_region", lambda r, p, slack=0.0: calls.append(r) or real(r, p, slack))
+    real = glue._in_collar
+    monkeypatch.setattr(glue, "_in_collar", lambda x, y, c, slack: calls.append(c) or real(x, y, c, slack))
     sp = glue._sample_pass(stack, sc)[2]
     for tol in (1e-6, 0.0, -1e-3):
         calls.clear()
@@ -580,7 +597,7 @@ def test_support_asks_only_deeper_regions_in_reach(monkeypatch):
         for k, bx, by, ax, ay, hop in zip(sp.stage, sp.bx, sp.by, sp.ax, sp.ay, sp.hop):
             if hop > glue._MOVE_TOL:
                 for q in ((bx, by), (ax, ay)):
-                    if not in_carved_region(stack, k, q, tol):
+                    if not _carved(stack, k, q, tol):
                         break
         assert 0 < asked < len(calls), (tol, asked, len(calls))
 
@@ -606,7 +623,7 @@ def test_certificates_share_one_sample_pass(monkeypatch):
     # the memo holds one pass: certify a trimmed stack first, so the run
     # below starts without one for (stack, sc)
     support_certificate(stack[:-1], sc)
-    samples, joins = scene_samples(sc), len(sc.joins)
+    samples, joins = list(zip(*real_columns(sc))), len(sc.joins)
     # one pass over the samples on a memo miss, shared by four
     # certificates; one pass over five points per join for collapse; the
     # samples are made on a miss only
@@ -715,7 +732,7 @@ def _containers(*roots):
 def test_passes_hold_no_tracked_object_per_sample(monkeypatch):
     sc = build_scene(GOLD, "(101).", depth=7)
     stack = build_glue_stack(sc)
-    nsamples = len(scene_samples(sc))
+    nsamples = len(_samples(sc))
     assert nsamples > 300
     # the memoized pass: what support_certificate leaves on the scene is
     # a fixed number of containers, none of them per sample
@@ -782,7 +799,7 @@ def test_chart_maps_agree_with_reference(make, most_radii):
     # copies centred at the origin, where a point on an axis lies at
     # exactly the float distance it was placed at
     origin = [replace(r, x0=0.0, center_y=Fraction(0)) for r in built]
-    samples = scene_samples(sc)
+    samples = _samples(sc)
     edges = {}
     for r in built + origin:
         cy = r.chart.center_y
@@ -792,23 +809,23 @@ def test_chart_maps_agree_with_reference(make, most_radii):
             for rho in _edge_radii(r) for u in (0.0, 0.25, -0.4, 0.5) for sgn in (1, -1)]
     for r in origin:
         sgn = 1 if r.side == "right" else -1
-        for rho in r.chart.radii:
-            # on a bulge's top the whole pull lands on its apex
-            assert stage_map(r, (0.0, rho)) == (sgn * rho, 0.0)
-            assert stage_map(r, (sgn * rho, 0.0)) == (sgn * rho, 0.0)
-        assert in_region(r, (r.chart.r_outer, 0.0))
-        assert not in_region(r, (math.nextafter(r.chart.r_outer, 2.0), 0.0))
+        # on a bulge's top the whole pull lands on its apex
+        tops = [(0.0, rho) for rho in r.chart.radii] + [(sgn * rho, 0.0) for rho in r.chart.radii]
+        assert _images([r], tops) == [(sgn * rho, 0.0) for rho in r.chart.radii] * 2
+        assert glue._in_collar(r.chart.r_outer, 0.0, _collar(r), 0.0)
+        assert not glue._in_collar(math.nextafter(r.chart.r_outer, 2.0), 0.0, _collar(r), 0.0)
         for rho in _edge_radii(r):
             edges[id(r)] += [(0.0, rho), (sgn * rho, 0.0), (-sgn * rho, 0.0), (0.0, -rho)]
     for r in built + origin:
-        for p in samples + edges[id(r)]:
-            assert stage_map(r, p) == _ref_stage_map(r, p)
+        points = samples + edges[id(r)]
+        assert _images([r], points) == [_ref_stage_map(r, p) for p in points]
+        for p in points:
             for slack in (0.0, 1e-6):
-                assert in_region(r, p, slack) == _ref_in_region(r, p, slack)
+                assert glue._in_collar(*p, _collar(r), slack) == _ref_in_region(r, p, slack)
     for stack in (built, built[::-1], built + built, origin):
         for i, r in enumerate(stack):
             for p in samples + edges[id(r)]:
-                assert in_carved_region(stack, i, p, 1e-6) == _ref_in_carved_region(stack, i, p, 1e-6)
+                assert _carved(stack, i, p, 1e-6) == _ref_in_carved_region(stack, i, p, 1e-6)
         # the sparse pass, stage by stage: a move wherever the reference
         # image changes, and the same image after every stage
         points = samples + [p for r in dict.fromkeys(stack) for p in edges[id(r)]]

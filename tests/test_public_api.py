@@ -26,7 +26,8 @@ TwoSidedSeq shift_two_sided parse_two_sided compare_tail_windows
 identify_partner tau_left tau_right is_admissible_right RankTie
 _window_violation _word_admissible match_indices window_taus cauchy_gap
 tent_itinerary _crosses_exact _match_data _cylinder_pairs tail_matches join_reach
-_orbit_cmp_merge _sample_floats
+_orbit_cmp_merge _sample_floats stage_map apply_gluing moved_stages
+scene_samples in_region in_carved_region
 """.split()
 
 # __main__ runs the command line on import, so only the ast pass reads it

@@ -88,6 +88,10 @@ def test_parse_right_canonical():
         parse_right("(1")
     with pytest.raises(MalformedSequence):
         parse_right("(2)")
+    # an empty period, a bad symbol in the preperiod
+    for pre, per in (("", ""), ("2", "1")):
+        with pytest.raises(MalformedSequence):
+            RightSeq(pre, per)
 
 
 def test_parse_left_canonical():
@@ -101,6 +105,10 @@ def test_parse_left_canonical():
         parse_left("(101)")
     with pytest.raises(MalformedSequence):
         parse_left("101.")
+    # an empty period, a bad symbol in the transient
+    for args in (("",), ("1", "x")):
+        with pytest.raises(MalformedSequence):
+            LeftTail(*args)
 
 
 def test_window_and_at():
@@ -111,11 +119,15 @@ def test_window_and_at():
     assert t.at(-1) == "0" and t.at(-2) == "1" and t.at(-5) == "1"
     with pytest.raises(IndexError):
         t.at(0)
+    with pytest.raises(MalformedSequence):
+        LeftTail("1").push("01")
     r = parse_right("10(1)")
     assert r.expand(5) == "10111"
     assert r.at(0) == "1" and r.at(1) == "0" and r.at(4) == "1"
     with pytest.raises(IndexError):
         r.at(-1)
+    with pytest.raises(ValueError):
+        RightSeq("", "01").shift(-1)
 
 
 @given(maybe_word, short_words, st.integers(0, 30))

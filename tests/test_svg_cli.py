@@ -18,6 +18,7 @@ from tentplane import (
     build_scene,
     cli,
     enumerate_cylinders,
+    is_admissible_tail,
     kneading_from_slope,
     parse_left,
     scene_from_json,
@@ -151,6 +152,10 @@ def test_cli_cylinders():
     # a context reorders the same words by block height, bottom first
     code, out = run("cylinders", "--nu", "(101)", "--depth", "2", "--L", "(101).")
     assert code == 0 and out.split() == ["10", "11", "01"]
+    # a context the scene commands refuse orders no words either
+    for ctx in ("(0).", "(1*)."):
+        for cmd in ("cylinders", "scene", "verify"):
+            assert run(cmd, "--nu", "(101)", "--depth", "3", "--L", ctx)[0] == 2, (cmd, ctx)
     # deeper than the interpreter's recursion limit
     code, out = run("cylinders", "--nu", "(1)", "--depth", "1200")
     assert code == 0 and out.split() == ["1" * 1200]
@@ -516,14 +521,22 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
     for cmd in ("glue", "render"):
         assert main([cmd, "--scene", str(tmp_path / "slope5.json")]) == 2, cmd
         assert capsys.readouterr().err == "error: slope must be in (1, 2], got 5.0\n"
-    # a negative stage count, as a flag and from a config
+    # a negative stage count, as a flag and from a config, refused before
+    # the scene is built: one whose stack raises, one file that disagrees
+    # with its rebuild
     neg = tmp_path / "neg.cfg"
     neg.write_text("nu=(101)\nL=(101).\ndepth=4\nglue_stages=-1\n")
+    edited = tmp_path / "edited.json"
+    assert main(["scene", "--nu", "(101)", "--L", "(101).", "--depth", "4", "--out", str(edited)]) == 0
+    data = json.loads(edited.read_text())
+    data["joins"][0]["x0"] += 1e-12
+    edited.write_text(json.dumps(data))
+    deep = ["--nu", "(10)", "--L", "(10).", "--depth", "670", "--glue", "-1"]
     for argv in (["glue", "--nu", "(101)", "--L", "(101).", "--depth", "4", "--glue", "-1"],
-                 ["glue", "--config", str(neg)], ["probe", "--config", str(neg)]):
+                 ["glue", "--config", str(neg)], ["probe", "--config", str(neg)],
+                 ["glue", *deep], ["probe", *deep], ["glue", "--scene", str(edited), "--glue", "-1"]):
         assert main(argv) == 2, argv
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert capsys.readouterr().err == "error: glue stages must be at least 0, got -1\n", argv
     # unreadable paths: a directory, bytes that are not UTF-8, an output
     # path that is a directory
     latin = tmp_path / "latin.json"
@@ -577,7 +590,11 @@ def test_cli_cylinders_context_order_is_height_order():
     # the integer height key orders the words as their exact heights do
     for nu, depth in ((GOLD, 7), (kneading_from_slope(2.0), 5), (kneading_from_slope(math.sqrt(2)), 8)):
         words = enumerate_cylinders(nu, depth)
-        for ctx in ("(1).", "(101).", "(10)0.", "(011)1101.", "(0)1."):
+        for ctx in ("(1).", "(101).", "(10)0.", "(011)1101.", "(0)1.", "(1)01.", "(10)1."):
             code, out = run("cylinders", "--nu", str(nu.seq), "--depth", str(depth), "--L", ctx)
             L = parse_left(ctx)
+            if not is_admissible_tail(L, nu):
+                # refused, as scene and verify refuse it
+                assert code == 2, (str(nu.seq), ctx)
+                continue
             assert code == 0 and out.split() == sorted(words, key=lambda w: block_midpoint(w, L).value), ctx
