@@ -14,11 +14,12 @@ of their ternary block, digits then ``(1)``.
 Every coordinate carries its value as an unreduced integer pair
 ``scaled = (numerator, denominator)``, the denominator 3^t (3^p - 1) for
 t preperiod and p period digits; a depth-n block midpoint is
-(2 * int(digits, 3) + 1) / (2 * 3^n).  Scenes order heights on these
+(2 * int(digits, 3) + 1) / (2 * 3^n).  Tail scenes order heights on these
 integers, and ``value`` reduces the pair only when it is read.  Digits
 come from bit patterns, not a loop over symbols: bit n - i of
 ``_odd(word)`` is the ones-parity of the word's last i symbols, so two
-words' digits are the xor of their patterns.
+words' digits are the xor of their patterns, and a digit is 2 exactly
+where the xor's bit is 0: cylinder scenes order heights on the xor.
 """
 from __future__ import annotations
 
@@ -136,13 +137,6 @@ def block_midpoint(word: str, context: LeftTail) -> CantorCoordinate:
     is that block's digit string followed by repeating 1.
     """
     return _block(_digits(word, context.window(len(word))), 2 * 3 ** len(word))
-
-
-def block_midpoints(odds, context: LeftTail, n: int) -> list:
-    """``block_midpoint`` of each length-n word, n >= 1, given by its
-    ``_odd`` pattern: one xor and one base change per word."""
-    ctx, fmt, scale = _odd(context.window(n)), f"0{n}b", 2 * 3**n
-    return [_block(format(o ^ ctx, fmt).translate(_AGREE), scale) for o in odds]
 
 
 def compare_tails(a: LeftTail, b: LeftTail, context: LeftTail) -> Comparison:

@@ -29,7 +29,7 @@ from .glue import (
     displacement_certificate,
     support_certificate,
 )
-from .cantor import block_midpoint
+from .cantor import _odd
 from .kneading import KneadingSequence, enumerate_cylinders, kneading_from_slope
 from .scene import (
     betweenness_check,
@@ -277,11 +277,13 @@ def _dispatch(args) -> int:
             raise ParseError("need --depth")
         words = enumerate_cylinders(nu, opts["depth"])
         if opts.get("context"):
-            # bottom-to-top in the height order the context induces: the
-            # words share a length, so their heights share one scale
+            # bottom-to-top in the height order the context induces: a
+            # height digit is 2 exactly where the xor of the word's and the
+            # context's parity patterns is 0, so heights ascend as it descends
             ctx = parse_left(opts["context"])
             check_context(ctx, nu)
-            words = sorted(words, key=lambda w: block_midpoint(w, ctx).scaled[0])
+            key = _odd(ctx.window(opts["depth"]))
+            words = sorted(words, key=lambda w: _odd(w) ^ key, reverse=True)
         for w in words:
             print(w)
         return 0

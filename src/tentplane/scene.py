@@ -11,28 +11,36 @@ and cylinders (every admissible window of a fixed depth is one arc, at
 its block-midpoint height).
 
 A depth-n cylinder scene depends on its context only through the
-heights.  Everything else (the words, and the window projections, raw
-joins and abscissae their head matches give) is a layout, built once per
-(nu, depth, x mode, slope) and kept in a small memo, so one nu drawn
-under many contexts scans its words once.  Per context a height is an integer
-numerator on the scene scale 2 * 3^n, from one xor of the word's and the
-context's parity patterns; segments are sorted once on those integers
-and joins oriented by them.  Tail scenes order their heights on one
-scale too, the lcm of the coordinates' 3^t * (3^p - 1).
+heights.  Everything else is a layout, built once per (nu, depth, x
+mode, slope) and kept in a small memo, so one nu drawn under many
+contexts scans its words once: the words, the window projections, raw
+joins and abscissae their head matches give, and those abscissae on the
+grid's x scale (each word's extent and each join's abscissa as integer
+columns, scaled once, since a layout places only about n + 2 distinct
+abscissae).  Per context each word gets one int, the xor of its and the
+context's parity patterns: a height digit is 2 exactly where its bit is
+0, so heights ascend as the ints descend.  The scene sorts the words
+and orients the joins on those ints and keeps them as columns; its
+``Segment`` and ``SceneJoin`` objects are made on first read.  Tail
+scenes, and scenes given explicit segments, order their heights on one
+scale, the lcm of the coordinates' 3^t * (3^p - 1).
 
 ``verify_noncrossing`` checks the planarity contract: no segment pokes
 through a bulge, and no two same-side bulges at the same abscissa
 interleave.  A scene is immutable, and ``Scene.grid``, built once per
-scene, sorts segments by height and groups joins into charts by (side,
-abscissa) and by (level, side, abscissa).  Its heights are the integers
-on the scene scale, read from each segment's ``y``, in both x modes.  It
-is the one exact form of the geometry past the build: both checkers, the
-glue stack, its samples, the probe and the SVG read a join's center and
-radius from its integer span (``_Grid.bulges`` gives their floats), so
-``SceneJoin`` keeps no Fraction of them.  In rank mode abscissae lie on
-an integer grid too (scaled by the lcm of their denominators) and the
-checkers are exact; in value mode abscissae are floats, compared with
-the tolerance ``_VALUE_TOL``.
+scene, lists segment labels by height and groups joins into charts by
+(side, abscissa) and by (level, side, abscissa).  Its heights are the
+integers on the scene scale in both x modes: a cylinder scene's come
+from its ints (numerator 2 * int(digits, 3) + 1 on 2 * 3^n) and its
+abscissae from the layout's columns; any other scene's are read from
+each segment's ``y`` and x.  It is the one exact form of the geometry
+past the build: both checkers read nothing else, and the glue stack,
+its samples, the probe and the SVG read a join's center and radius from
+its integer span (``_Grid.bulges`` gives their floats), so ``SceneJoin``
+keeps no Fraction of them.  In rank mode abscissae lie on an integer
+grid too (scaled by the lcm of their denominators) and the checkers are
+exact; in value mode abscissae are floats, compared with the tolerance
+``_VALUE_TOL``.
 
 Both checkers run one path in both modes and visit only what can fail.
 A segment can cross a bulge only if it reaches past the chart's
@@ -70,7 +78,7 @@ from .arcs import (
     scan_tails,
     window_projection,
 )
-from .cantor import CantorCoordinate, _odd, block_midpoints, cantor_coordinate
+from .cantor import _AGREE, CantorCoordinate, _block, _odd, cantor_coordinate
 from .errors import ConflictError, MalformedSequence, NotAdmissible, ParseError
 from .kneading import KneadingSequence, is_admissible_tail, kneading_from_slope, scan_cylinders
 from .sequences import LeftTail, parse_left, parse_right
@@ -115,7 +123,9 @@ class SceneJoin:
 @dataclass(frozen=True, eq=False)
 class Scene:
     """Segments (sorted by height) and joins are stored as tuples, so
-    ``grid`` is built once; a replaced copy builds its own."""
+    ``grid`` is built once; a replaced copy builds its own.  A cylinder
+    scene from ``build_scene`` holds columns instead and makes its
+    segments and joins on first read."""
 
     nu: KneadingSequence
     context: LeftTail
@@ -129,6 +139,15 @@ class Scene:
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(self, "joins", tuple(self.joins))
+
+    def __getattr__(self, name):
+        # reached only for what the instance lacks: a columnar scene's
+        # segments and joins before their first read
+        cols = vars(self).get("_columns")
+        if cols is None or name not in ("segments", "joins"):
+            raise AttributeError(f"'Scene' object has no attribute {name!r}")
+        vars(self).update(zip(("segments", "joins"), cols.objects()))
+        return vars(self)[name]
 
     @cached_property
     def grid(self) -> _Grid:
@@ -168,13 +187,18 @@ def build_scene(
 
     if tails is None:
         lay = _layout(nu, depth, x_mode, slope)
-        xs = lay.xs
-        drawn = [
-            Segment(w, y, p, xs[p.lo_index], xs[p.hi_index], word=w)
-            for w, y, p in zip(lay.words, block_midpoints(lay.odd, context, depth), lay.projections)
-        ]
-        segments, joins = _placed(drawn, lay.joins, xs)
-        return Scene(nu, context, "cylinders", x_mode, segments, joins, depth=depth, slope=slope)
+        # a height digit is 2 exactly where its key bit is 0, so heights
+        # ascend as keys descend, and a join's lower end has the larger key
+        ctx = _odd(context.window(depth))
+        keys = [o ^ ctx for o in lay.odd]
+        joins = [(level, side, a, b, r) if keys[a] > keys[b] else (level, side, b, a, r)
+                 for r, (level, side, a, b) in enumerate(lay.joins)]
+        joins.sort(key=lambda j: (j[0], lay.words[j[2]]))
+        cols = _Columns(lay, depth, keys, sorted(range(len(keys)), key=keys.__getitem__, reverse=True), joins)
+        sc = object.__new__(Scene)  # no segments or joins until read
+        vars(sc).update(nu=nu, context=context, mode="cylinders", x_mode=x_mode, depth=depth, slope=slope,
+                        _columns=cols)
+        return sc
 
     # each tail is scanned once; its matches give its landing indices
     # and its joins, found before x so the anchors take part in the layout
@@ -190,7 +214,7 @@ def build_scene(
             raise NotAdmissible(f"tail {label} is not admissible")
         entries.append((label, tail, landing_projection(tail, nu, landing)))
     raw = _flip_joins([(t, scans[t].window, scans[t].joins) for t in labels], nu, flip_at)
-    xs = resolve_x(_indices([e[2] for e in entries], raw), nu, mode=x_mode, slope=slope)
+    xs = resolve_x(_indices([e[2] for e in entries], raw) | {2}, nu, mode=x_mode, slope=slope)
     drawn = [
         Segment(label, cantor_coordinate(tail, context), p, xs[p.lo_index], xs[p.hi_index], tail=tail)
         for label, tail, p in entries
@@ -200,11 +224,9 @@ def build_scene(
 
 
 def _indices(projections, raw) -> set:
-    # the orbit indices a scene places: 2, every landing index, every level
-    out = {2, *(level for level, *_ in raw)}
-    for p in projections:
-        out |= {p.lo_index, p.hi_index}
-    return out
+    # the orbit indices a scene draws at: every landing index and every
+    # level; its x layout places 2 as well
+    return {i for p in projections for i in (p.lo_index, p.hi_index)} | {level for level, *_ in raw}
 
 
 def _placed(drawn: list, raw, xs) -> tuple:
@@ -221,6 +243,16 @@ def _placed(drawn: list, raw, xs) -> tuple:
         joins.append(SceneJoin(level, side, drawn[a], drawn[b], xs[level]))
     joins.sort(key=lambda j: (j.level, str(j.low.label)))
     return [drawn[k] for k in sorted(range(len(drawn)), key=heights.__getitem__)], joins
+
+
+def _x_scale(qs, x_mode: str) -> tuple:
+    """``dx`` and the map of an abscissa onto the grid: in rank mode the
+    lcm of the abscissae's denominators and x -> x * dx, an integer; in
+    value mode 1 and ``float``."""
+    if x_mode != "rank":
+        return 1, float
+    dx = math.lcm(*{q.denominator for q in qs})
+    return dx, lambda q: q.numerator * (dx // q.denominator)
 
 
 def _on_scale(ys) -> tuple:
@@ -241,6 +273,12 @@ class _Layout(NamedTuple):
     joins: tuple
     xs: MappingProxyType  # resolve_x of every orbit index the scene places
     odd: tuple  # each word's ``cantor._odd`` pattern, read by its heights
+    # the grid's x scale, and on it each word's extent and each raw join's
+    # abscissa, as ``_grid`` places them
+    dx: int
+    x_lo: tuple
+    x_hi: tuple
+    x0: tuple
 
 
 # Every context at one (nu, depth) shares a layout: the paper makes each
@@ -256,10 +294,80 @@ def _layout(nu: KneadingSequence, depth: int, x_mode: str, slope) -> _Layout:
     # projection and its joins; the layout keeps only what they give
     scanned = scan_cylinders(nu, depth)
     words = tuple(w for w, _ in scanned)
-    projections = tuple(window_projection(ks, nu) for _, ks in scanned)
+    # words with one match set share a projection, and a layout places
+    # about depth + 2 distinct abscissae: each is made and scaled once
+    matches = [tuple(ks) for _, ks in scanned]
+    made = {ks: window_projection(ks, nu) for ks in dict.fromkeys(matches)}
     raw = _flip_joins([(w, w, ks) for w, ks in scanned], nu, _raise_slot)
-    xs = resolve_x(_indices(projections, raw), nu, mode=x_mode, slope=slope)
-    return _Layout(words, projections, tuple(raw), MappingProxyType(xs), tuple(map(_odd, words)))
+    placed = _indices(made.values(), raw)
+    xs = resolve_x(placed | {2}, nu, mode=x_mode, slope=slope)
+    dx, on = _x_scale([xs[i] for i in placed], x_mode)
+    at = {i: on(xs[i]) for i in placed}
+    ends = {ks: (at[p.lo_index], at[p.hi_index]) for ks, p in made.items()}
+    return _Layout(
+        words,
+        tuple(made[ks] for ks in matches),
+        tuple(raw),
+        MappingProxyType(xs),
+        tuple(map(_odd, words)),
+        dx,
+        tuple(ends[ks][0] for ks in matches),
+        tuple(ends[ks][1] for ks in matches),
+        tuple(at[level] for level, *_ in raw),
+    )
+
+
+class _Columns(NamedTuple):
+    """A depth-n cylinder scene under one context: each word's key, the
+    xor of its ``_odd`` pattern and the context's, the word positions by
+    height, and the joins as (level, side, low, high, raw index), low and
+    high positions in the layout's words, in scene order."""
+
+    lay: _Layout
+    n: int
+    keys: list
+    order: list
+    joins: list
+
+    def heights(self) -> list:
+        # each word's block-midpoint numerator on the scale 2 * 3^n
+        fmt = f"0{self.n}b"
+        return [2 * int(format(k, fmt).translate(_AGREE), 3) + 1 for k in self.keys]
+
+    def grid(self) -> _Grid:
+        lay, heights, words = self.lay, self.heights(), self.lay.words
+        labels = [words[i] for i in self.order]
+        spans, ends, charts, groups = [], [], {}, {}
+        for a, (level, side, lo, hi, r) in enumerate(self.joins):
+            x0 = lay.x0[r]
+            spans.append((heights[lo], heights[hi], x0))
+            ends.append((level, side, words[lo], words[hi]))
+            charts.setdefault((side, x0), []).append(a)
+            groups.setdefault((level, side, x0), []).append(a)
+        return _Grid(
+            2 * 3**self.n,
+            lay.dx,
+            labels,
+            labels,
+            [heights[i] for i in self.order],
+            [lay.x_lo[i] for i in self.order],
+            [lay.x_hi[i] for i in self.order],
+            spans,
+            ends,
+            charts,
+            groups,
+        )
+
+    def objects(self) -> tuple:
+        """The scene's segments and joins, as ``Segment`` and ``SceneJoin``."""
+        lay, fmt, scale = self.lay, f"0{self.n}b", 2 * 3**self.n
+        xs = lay.xs
+        made = [
+            Segment(w, _block(format(k, fmt).translate(_AGREE), scale), p, xs[p.lo_index], xs[p.hi_index], word=w)
+            for w, k, p in zip(lay.words, self.keys, lay.projections)
+        ]
+        joins = (SceneJoin(level, side, made[lo], made[hi], xs[level]) for level, side, lo, hi, _ in self.joins)
+        return tuple(made[i] for i in self.order), tuple(joins)
 
 
 def _check_slope(nu: KneadingSequence, slope) -> None:
@@ -284,7 +392,8 @@ def _raise_slot(w: str, m: int) -> str:
 
 
 class _Grid(NamedTuple):
-    """A scene's segments sorted by height, its join spans and its charts.
+    """A scene's segment columns sorted by height, its join spans and its
+    charts.
 
     Heights lie on one integer grid in both modes: height y is ``y * dy``,
     where ``dy`` is the lcm of the heights' unreduced denominators (for a
@@ -295,11 +404,15 @@ class _Grid(NamedTuple):
 
     dy: int
     dx: int
-    segments: list  # sorted by height
+    labels: list  # the segments' labels, sorted by height
+    # by height, each segment's word, or its tail's window as long as the
+    # deepest join level: its last m symbols are its ``last(m)``
+    words: list
     ys: list  # their heights, ascending
     x_lo: list
     x_hi: list
     joins: list  # (y_lo, y_hi, x0) of each scene join, in scene order
+    ends: list  # (level, side, low label, high label) of each scene join
     charts: dict  # (side, x0): indices of its joins, ascending
     groups: dict  # (level, side, x0): indices of its joins, ascending
 
@@ -312,31 +425,21 @@ class _Grid(NamedTuple):
 
 
 def _grid(scene: Scene) -> _Grid:
+    cols = vars(scene).get("_columns")
+    if cols is not None:
+        return cols.grid()
     segs, js = scene.segments, scene.joins
     # heights come from each segment's y, so a copy with replaced heights
     # is placed by them
     dy, ys = _on_scale([s.y for s in segs] + [y for j in js for y in (j.low.y, j.high.y)])
     heights, ends = ys[: len(segs)], ys[len(segs) :]
-    if scene.x_mode == "rank":
-        dx = math.lcm(
-            *{q.denominator for s in segs for q in (s.x_lo, s.x_hi)},
-            *{j.x0.denominator for j in js},
-        )
-
-        def on(q) -> int:
-            return q.numerator * (dx // q.denominator)
-
-        x_lo = [on(s.x_lo) for s in segs]
-        x_hi = [on(s.x_hi) for s in segs]
-        x0s = [on(j.x0) for j in js]
-    else:
-        dx = 1
-        x_lo = [float(s.x_lo) for s in segs]
-        x_hi = [float(s.x_hi) for s in segs]
-        x0s = [float(j.x0) for j in js]
-    spans = list(zip(ends[::2], ends[1::2], x0s))
+    dx, on = _x_scale([q for s in segs for q in (s.x_lo, s.x_hi)] + [j.x0 for j in js], scene.x_mode)
+    x_lo = [on(s.x_lo) for s in segs]
+    x_hi = [on(s.x_hi) for s in segs]
+    spans = list(zip(ends[::2], ends[1::2], [on(j.x0) for j in js]))
     # a stable sort on the grid heights keeps the order of equal heights
     order = sorted(range(len(segs)), key=heights.__getitem__)
+    m = max((j.level for j in js), default=1) - 1
     charts: dict = {}
     groups: dict = {}
     for a, (j, (_, _, x0)) in enumerate(zip(js, spans)):
@@ -345,11 +448,13 @@ def _grid(scene: Scene) -> _Grid:
     return _Grid(
         dy,
         dx,
-        [segs[k] for k in order],
+        [segs[k].label for k in order],
+        [segs[k].word if segs[k].tail is None else segs[k].tail.window(m) for k in order],
         [heights[k] for k in order],
         [x_lo[k] for k in order],
         [x_hi[k] for k in order],
         spans,
+        [(j.level, j.side, j.low.label, j.high.label) for j in js],
         charts,
         groups,
     )
@@ -362,16 +467,9 @@ def _crosses_float(side: str, x0, rr, x_lo, x_hi) -> bool:
     return pen > _VALUE_TOL
 
 
-def _join_key(j: SceneJoin) -> tuple:
-    return (j.level, j.low.label, j.high.label)
-
-
-def _segment_join(s: Segment, j: SceneJoin) -> dict:
-    return {"kind": "segment-join", "segment": s.label, "join": _join_key(j)}
-
-
-def _join_join(a: SceneJoin, b: SceneJoin) -> dict:
-    return {"kind": "join-join", "join_a": _join_key(a), "join_b": _join_key(b)}
+def _join_key(end: tuple) -> tuple:
+    # (level, low label, high label) of a grid's (level, side, low, high)
+    return (end[0], end[2], end[3])
 
 
 def _interleaved(a: tuple, b: tuple) -> bool:
@@ -417,7 +515,7 @@ def verify_noncrossing(scene: Scene) -> list:
     exact = scene.x_mode == "rank"
     tol = 0 if exact else _VALUE_TOL
     dy2, dx2 = g.dy * g.dy, g.dx * g.dx
-    ys, js, spans = g.ys, scene.joins, g.joins
+    ys, ends, spans = g.ys, g.ends, g.joins
     # per chart, the segments inside its widest gap that reach past x0
     # on its side, by height
     reach = {}
@@ -430,25 +528,25 @@ def verify_noncrossing(scene: Scene) -> list:
             ks = [k for k in ks if g.x_lo[k] < x0]
         reach[side, x0] = ([ys[k] for k in ks], ks)
     out = []
-    for j, (ylo, yhi, x0) in zip(js, spans):
-        right = j.side == "right"
-        heights, ks = reach[j.side, x0]
+    for end, (ylo, yhi, x0) in zip(ends, spans):
+        side = end[1]
+        heights, ks = reach[side, x0]
         for k in ks[bisect_right(heights, ylo) : bisect_left(heights, yhi)]:
             # the bulge meets height y at x0 +- arm, arm^2 = (y - ylo)(yhi - y)
             arm2 = (ys[k] - ylo) * (yhi - ys[k])
             if not exact:
                 # arm2 / dy^2 rounds once, as the float of the exact arm^2
-                hit = _crosses_float(j.side, x0, arm2 / dy2, g.x_lo[k], g.x_hi[k])
+                hit = _crosses_float(side, x0, arm2 / dy2, g.x_lo[k], g.x_hi[k])
             else:
                 # on the grid, arm^2 * dx^2 * dy^2 is rr
                 rr = arm2 * dx2
                 lo, hi = g.x_lo[k] - x0, g.x_hi[k] - x0
-                if not right:
+                if side != "right":
                     lo, hi = -hi, -lo  # mirror a left bulge onto the right
                 # one end beyond the arm, the other inside it
                 hit = hi > 0 and hi * hi * dy2 > rr and (lo < 0 or lo * lo * dy2 < rr)
             if hit:
-                out.append(_segment_join(g.segments[k], j))
+                out.append({"kind": "segment-join", "segment": g.labels[k], "join": _join_key(end)})
     # same-side bulges at one abscissa: only the clusters that do not
     # nest cleanly are compared, pair by pair within the cluster, in the
     # global (a, b) order
@@ -467,7 +565,7 @@ def verify_noncrossing(scene: Scene) -> list:
         members, i = place[a]
         for b in members[i + 1 :]:
             if abs(spans[a][2] - spans[b][2]) <= tol and _interleaved(spans[a], spans[b]):
-                out.append(_join_join(js[a], js[b]))
+                out.append({"kind": "join-join", "join_a": _join_key(ends[a]), "join_b": _join_key(ends[b])})
     return out
 
 
@@ -486,7 +584,7 @@ def betweenness_check(scene: Scene) -> list:
     mode.
     """
     g = scene.grid
-    ys, segs = g.ys, g.segments
+    ys = g.ys
     tol = 0 if scene.x_mode == "rank" else _VALUE_TOL
     gaps = [(bisect_right(ys, lo), bisect_left(ys, hi)) for lo, hi, _ in g.joins]
     found = {}  # group: (first index, failure kind by height, running count)
@@ -495,7 +593,7 @@ def betweenness_check(scene: Scene) -> list:
         start = min(gaps[a][0] for a in members)
         kinds, bad = [], [0]
         for k in range(start, max(gaps[a][1] for a in members)):
-            if segs[k].last(level - 1) != head:
+            if not g.words[k].endswith(head):
                 kind = "foreign-symbols"
             elif (g.x_hi[k] > x0 + tol) if side == "right" else (g.x_lo[k] < x0 - tol):
                 kind = "x-overreach"
@@ -505,13 +603,13 @@ def betweenness_check(scene: Scene) -> list:
             bad.append(bad[-1] + (kind is not None))
         found[level, side, x0] = (start, kinds, bad)
     out = []
-    for j, (lo, hi), (_, _, x0) in zip(scene.joins, gaps, g.joins):
-        start, kinds, bad = found[j.level, j.side, x0]
+    for (level, side, _, _), (lo, hi), (_, _, x0) in zip(g.ends, gaps, g.joins):
+        start, kinds, bad = found[level, side, x0]
         if lo >= hi or bad[hi - start] == bad[lo - start]:
             continue
         for k in range(lo, hi):
             if kinds[k - start]:
-                out.append({"kind": kinds[k - start], "segment": segs[k].label, "level": j.level})
+                out.append({"kind": kinds[k - start], "segment": g.labels[k], "level": level})
     return out
 
 

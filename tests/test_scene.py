@@ -5,11 +5,12 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import figure_nu, figure_tails, figure_labels, random_kneading, random_tail
+from conftest import GRID_CASES, figure_nu, figure_tails, figure_labels, grid_case, random_kneading, random_tail
 from test_arcs import (
     MERGED,
     _oracle_pool,
@@ -853,9 +854,9 @@ def _agree(*args, **kwargs):
     return got, bool(MERGED)
 
 
-def test_cylinder_scenes_agree_with_reference():
-    # the C4 sweep's nus, contexts and depths, and under each nu's first
-    # context every depth in between
+def _cylinder_oracle_pool():
+    """(nu, context, depth): the C4 sweep's nus, contexts and depths, and
+    under each nu's first context every depth in between."""
     rng = random.Random(2026)
     nus = [kneading_from_slope(2.0), GOLD, kneading_from_slope(math.sqrt(2))]
     seen = {str(n) for n in nus}
@@ -864,7 +865,6 @@ def test_cylinder_scenes_agree_with_reference():
         if str(n) not in seen:
             seen.add(str(n))
             nus.append(n)
-    joins, merges = 0, Counter()
     for nu in nus:
         ctxs, used = [], set()
         while len(ctxs) < 5:
@@ -879,10 +879,16 @@ def test_cylinder_scenes_agree_with_reference():
             dmax = d
         for i, L in enumerate(ctxs):
             for d in range(3, dmax + 1) if i == 0 else sorted({3, dmax}):
-                got, merged = _agree(nu, L, depth=d)
-                merges[merged] += 1
-                if not merged:
-                    joins += len(got[0]["joins"])
+                yield nu, L, d
+
+
+def test_cylinder_scenes_agree_with_reference():
+    joins, merges = 0, Counter()
+    for nu, L, d in _cylinder_oracle_pool():
+        got, merged = _agree(nu, L, depth=d)
+        merges[merged] += 1
+        if not merged:
+            joins += len(got[0]["joins"])
     assert joins > 5_000
     # layouts drawn as the merge drew them, and layouts it merged
     assert merges[False] and merges[True], merges
@@ -1025,8 +1031,97 @@ def test_tampered_copy_of_a_memo_scene_follows_its_heights():
     after = {s.label: s.y for s in bad.segments}
     assert after[label] != before[label]
     g = bad.grid
-    assert g.ys == [s.y.value * g.dy for s in g.segments] == sorted(g.ys)
+    assert g.ys == [after[k].value * g.dy for k in g.labels] == sorted(g.ys)
     for j in bad.joins:
         assert (j.low.y, j.high.y) == (after[j.low.label], after[j.high.label])
     assert any(v["kind"] == "foreign-symbols" and v["segment"] == label for v in betweenness_check(bad))
     assert betweenness_check(sc) == []
+
+
+# ------------------------------------------------ columnar cylinder scenes
+# build_scene places a cylinder scene's grid straight from its layout's
+# integer columns and makes Segment and SceneJoin objects only when read;
+# a copy given those objects back is placed by the general grid
+
+
+def _columnar_scenes():
+    for case in GRID_CASES:
+        if case.startswith("cylinders"):
+            yield case, grid_case(case)
+    for nu, L, d in _cylinder_oracle_pool():
+        # value mode places a slope's orbit: the random words have none
+        for mode in ("rank", "value") if nu.slope is not None else ("rank",):
+            try:
+                yield (str(nu), str(L), d, mode), build_scene(nu, L, depth=d, x_mode=mode)
+            except AmbiguousAtDepth:
+                continue
+
+
+def test_columnar_grid_equals_general_grid():
+    modes = Counter()
+    for name, sc in _columnar_scenes():
+        g = sc.grid
+        copy = dataclasses.replace(sc, segments=sc.segments, joins=sc.joins)
+        ref = scene_module._grid(copy)
+        for field in g._fields:
+            assert getattr(g, field) == getattr(ref, field), (name, field)
+        assert verify_noncrossing(sc) == verify_noncrossing(copy), name
+        assert betweenness_check(sc) == betweenness_check(copy), name
+        modes[sc.x_mode] += 1
+    assert modes["rank"] > 100 and modes["value"] > 40, modes
+
+
+def test_clean_checkers_build_no_scene_objects(monkeypatch):
+    # a clean cylinder scene is built and checked on its columns alone:
+    # no Segment, SceneJoin or CantorCoordinate until one is read
+    made = Counter()
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            made[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for cls in (Segment, SceneJoin, CantorCoordinate):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    # cantor._block makes a CantorCoordinate without __init__
+    block = sys.modules["tentplane.cantor"]._block
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("tentplane") and getattr(mod, "_block", None) is block:
+            monkeypatch.setattr(mod, "_block", counting("CantorCoordinate", block))
+    scene_module._layout.cache_clear()
+    sc = build_scene(kneading_from_text("(101)"), "(1).", depth=14)
+    assert verify_noncrossing(sc) == [] and betweenness_check(sc) == []
+    assert made == Counter(), made
+    # read, they are made once: one height per segment
+    assert len(sc.segments) == 987 and sc.joins[0].low in sc.segments
+    assert made == Counter(Segment=987, CantorCoordinate=987, SceneJoin=len(sc.joins)), made
+    assert sc.segments is sc.segments
+
+
+EMBEDDING_NUS = ("1(0)", "10(1)", "(101)", "(100111)", "(10111)", "(1001)")
+
+
+def test_one_embedding_across_depths():
+    # the depth-(n + 1) word w is a child of the depth-n word w[1:]: the
+    # children come in their parents' height order, and each depth-n join
+    # has a depth-(n + 1) join at its level whose ends' parents are its ends
+    arcs, pairs = 0, 0
+    for text in EMBEDDING_NUS:
+        nu = kneading_from_text(text)
+        for ctx in ("(1).", "(011)0."):
+            if not is_admissible_tail(parse_left(ctx), nu):
+                continue
+            pairs += 1
+            parent = build_scene(nu, ctx, depth=2)
+            for n in range(3, 11):
+                child = build_scene(nu, ctx, depth=n)
+                rank = {s.word: k for k, s in enumerate(parent.segments)}
+                order = [rank[s.word[1:]] for s in child.segments]
+                assert order == sorted(order), (text, ctx, n)
+                below = {(j.level, j.low.word[1:], j.high.word[1:]) for j in child.joins}
+                for j in parent.joins:
+                    assert (j.level, j.low.word, j.high.word) in below, (text, ctx, n, j.level)
+                arcs += len(child.segments)
+                parent = child
+    assert pairs == 10 and arcs > 9_000, (pairs, arcs)
