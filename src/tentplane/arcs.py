@@ -263,6 +263,7 @@ def _flip_joins(arcs, nu: KneadingSequence, flip) -> list:
     ``head_matches``; ``flip(a, m)`` is ``a`` with slot -m raised from 0
     to 1.  A partner listed n times gives n joins.
     """
+    sides: dict = {}  # each level's side, looked up at its first join
     at: dict = {}  # each item's positions
     for i, (a, _, _) in enumerate(arcs):
         at.setdefault(a, []).append(i)
@@ -273,7 +274,9 @@ def _flip_joins(arcs, nu: KneadingSequence, flip) -> list:
             if s < 0 or w[s] == "1":
                 continue  # handle each unordered pair once, from its 0 side
             for j in at.get(flip(a, k + 1), ()):
-                out.append((k + 1, side_of_level(nu, k + 1), i, j))
+                if k + 1 not in sides:
+                    sides[k + 1] = side_of_level(nu, k + 1)
+                out.append((k + 1, sides[k + 1], i, j))
     return out
 
 

@@ -17,17 +17,22 @@ module exposes certificates: sampled assertions that stage supports stay
 inside their allotted region, points move at most once across all
 stages, per-stage displacements stay within the region diameter, the
 collapse is injective on bulges, and the glued picture stays below the
-ceiling.  Points go through the stages in one sparse pass: a stage
-skips every point farther than 2 eps outside its innermost or
-outermost radius, which it provably fixes, and the pass records only
-the stages that change a point's image.  A pass reads its points as an
-x and a y column and returns its moves and final images as columns of
-floats and ints, so it holds no object the garbage collector tracks per
-point; a report builds point tuples only for the failures it lists.
-Four certificates read one such pass over the scene's samples, memoized
-on the scene and keyed by the region objects, which compare by identity;
-collapse and the probe each make one pass over their own points.  Tests
-freeze these into pass/fail facts for concrete scenes.
+ceiling.  Points go through the stages in one sparse pass, point by
+point: a stage skips every point farther than 2 eps outside its
+innermost or outermost radius, which it provably fixes, and the pass
+records only the stages that change a point's image.  A pass reads its
+points as an x and a y column and returns its moves and final images as
+columns of floats and ints, so it holds no object the garbage collector
+tracks per point; a report builds point tuples only for the failures it
+lists.  The stack, the samples and the probe read the scene grid alone,
+each height and abscissa one correctly rounded division of its
+integers, so a scene built from columns makes no ``Segment`` or
+``SceneJoin`` for them.  The
+certificates read one pass over the scene's samples, memoized on the
+scene and keyed by the region objects, which compare by identity:
+collapse reads the bulge points the samples share with it from that
+pass and makes one pass over the rest, and the probe one over its own
+points.  Tests freeze these into pass/fail facts for concrete scenes.
 
 ``collapse_profile``/``fiber_collapse`` are the one-dimensional model
 squeeze used by the charts, kept exact (piecewise linear, rational in,
@@ -36,16 +41,16 @@ rational out) so identities can be asserted without tolerance.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations, count, groupby
+from itertools import accumulate, combinations, count
 from typing import NamedTuple, Optional
 
 from .errors import ChartOverflow, TentplaneError, WrongContext
-from .scene import Scene
+from .scene import Scene, _on_scale
 from .sequences import parse_left
 
 # tube half-width as a fraction of the safe margin; wide enough that float
@@ -56,13 +61,17 @@ _EPS_SCALE = 1e-4
 _MOVE_TOL = 1e-12
 
 # _sample_columns: points per segment at these fractions of its span, and
-# bulge angles (fractions of pi, times pi)
+# bulge angles (fractions of pi, times pi) with their cosines and sines
 _SEGMENT_STEPS = tuple(k / 4 for k in range(5))
 _ARC_TURNS = tuple(u * math.pi for u in (-0.5, -0.25, 0.0, 0.25, 0.5))
+_ARC_UNITS = tuple((math.cos(t), math.sin(t)) for t in _ARC_TURNS)
 
-# collapse_certificate: bulge angles as fractions of pi
+# collapse_certificate: bulge angles as fractions of pi, their cosines and
+# sines, and each one's index among the sample angles, or None
 _BULGE_ANGLES = (-0.5, -0.3, 0.0, 0.3, 0.5)
 _BULGE_TURNS = tuple(u * math.pi for u in _BULGE_ANGLES)
+_BULGE_UNITS = tuple((math.cos(t), math.sin(t)) for t in _BULGE_TURNS)
+_BULGE_SAMPLES = tuple(_ARC_TURNS.index(t) if t in _ARC_TURNS else None for t in _BULGE_TURNS)
 
 # support_certificate: float slack on the distance beyond which a deeper
 # region's collar cannot hold a point that a stage moves
@@ -175,7 +184,8 @@ def build_glue_stack(scene: Scene) -> list:
     """
     # a join spanning grid heights lo..hi has center (lo + hi) / scale and
     # radius (hi - lo) / scale: the chart is worked out on those integers,
-    # and only the region's fields are built as Fractions
+    # and only the region's fields are built as Fractions.  The region's
+    # side and abscissa come from the grid's columns too
     g = scene.grid
     scale = 2 * g.dy
     out = []
@@ -196,9 +206,25 @@ def build_glue_stack(scene: Scene) -> list:
         eps = margin / (3 * scale) * _EPS_SCALE
         if not eps > 0:
             raise ChartOverflow(f"level {level} chart has no room for a tube")
-        j, radii = scene.joins[members[0]], tuple(Fraction(r, scale) for r in radii)
-        out.append(GlueRegion(level, j.side, float(j.x0), Fraction(mid, scale), radii, eps))
+        radii = tuple(Fraction(r, scale) for r in radii)
+        side, x0 = g.ends[members[0]][1], g.joins[members[0]][2] / g.dx
+        out.append(GlueRegion(level, side, x0, Fraction(mid, scale), radii, eps))
     return out
+
+
+def _rows(scene: Scene):
+    """Each segment's grid row, in scene order.  A scene built from
+    columns holds its segments in grid order.  The grid of any other
+    scene sorts them stably by height, and that order is found again
+    here, where glue reads it, so the checkers never pay for it."""
+    n = len(scene.grid.ys)
+    if "_columns" in vars(scene):
+        return range(n)
+    _, heights = _on_scale([s.y for s in scene.segments])
+    rows = [0] * n
+    for k, i in enumerate(sorted(range(n), key=heights.__getitem__)):
+        rows[i] = k
+    return rows
 
 
 # points run through the stages, as columns of floats and ints: per move
@@ -223,16 +249,28 @@ def _moves(regions, xs, ys) -> _Pass:
     r_max + 2 eps] sits at least eps from every radius, so its strength
     is at least 1 and the stage fixes it; it is skipped, as is the
     center itself.  Every other point is squeezed, the distance computed
-    once for both tests."""
-    xs, ys = [float(x) for x in xs], [float(y) for y in ys]
-    cols = ([], [], [], [], [], [], [])
+    once for both tests.  Each point runs through every stage in turn,
+    its image held in locals, so its moves come out in order."""
+    stages = []  # each stage's constants, unpacked once per pass
     for k, region in enumerate(regions):
-        x0, eps, right = region.x0, region.eps, region.side == "right"
-        cy, radii = region.chart.center_y, region.chart.radii
-        lo, hi = radii[0] - 2 * eps, radii[-1] + 2 * eps
-        for i, x, y in zip(count(), xs, ys):
-            h, dy = x - x0, y - cy
-            rho = math.hypot(h, dy)
+        eps, radii = region.eps, region.chart.radii
+        hi = radii[-1] + 2 * eps
+        stages.append((k, region.x0, region.chart.center_y, eps, region.side == "right", radii,
+                       radii[0] - 2 * eps, hi, -hi, len(radii)))
+    point, stage, bx, by, ax, ay, hop, fx, fy = cols = ([], [], [], [], [], [], [], [], [])
+    hypot, atan2, cos, sin, pi = math.hypot, math.atan2, math.cos, math.sin, math.pi
+    for i, x, y in zip(count(), xs, ys):
+        x, y = float(x), float(y)
+        for k, x0, cy, eps, right, radii, lo, hi, nhi, n in stages:
+            # the distance is at least either offset, so a point beyond hi
+            # along one axis is skipped before it is computed
+            h = x - x0
+            if not nhi <= h <= hi:
+                continue
+            dy = y - cy
+            if not nhi <= dy <= hi:
+                continue
+            rho = hypot(h, dy)
             if rho < lo or rho > hi or rho == 0.0:
                 continue
             # float subtraction is monotone, so the nearest radius is one
@@ -240,34 +278,39 @@ def _moves(regions, xs, ys) -> _Pass:
             j = bisect_left(radii, rho)
             if j == 0:
                 dist = radii[0] - rho
-            elif j == len(radii):
+            elif j == n:
                 dist = rho - radii[-1]
             else:
                 dist = min(rho - radii[j - 1], radii[j] - rho)
             a = dist / eps
             if a >= 1.0:
                 continue
-            theta = math.atan2(dy, h if right else -h)
-            t2 = collapse_profile(a, theta / math.pi) * math.pi
-            h2 = rho * math.cos(t2)
-            qx, qy = x0 + h2 if right else x0 - h2, cy + rho * math.sin(t2)
+            theta = atan2(dy, h if right else -h)
+            t2 = collapse_profile(a, theta / pi) * pi
+            h2 = rho * cos(t2)
+            qx, qy = x0 + h2 if right else x0 - h2, cy + rho * sin(t2)
             if qx != x or qy != y:
-                for col, v in zip(cols, (i, k, x, y, qx, qy, math.hypot(qx - x, qy - y))):
-                    col.append(v)
+                point.append(i)
+                stage.append(k)
+                bx.append(x)
+                by.append(y)
+                ax.append(qx)
+                ay.append(qy)
+                hop.append(hypot(qx - x, qy - y))
             # a squeezed image replaces the point even when equal to it,
             # since -0.0 == 0.0
-            xs[i], ys[i] = qx, qy
-    # the moves come stage by stage; a stable sort on the point index puts
-    # them in (point, stage) order
-    order = sorted(range(len(cols[0])), key=cols[0].__getitem__)
-    return _Pass(*([col[j] for j in order] for col in cols), xs, ys)
+            x, y = qx, qy
+        fx.append(x)
+        fy.append(y)
+    return _Pass(*cols)
 
 
-def _in_collar(x, y, collar, slack) -> bool:
-    """Inside the closed collared disk (x0, center_y, r_outer) of a
-    region, up to slack."""
+def _in_collar(xs, ys, collar, slack) -> list:
+    """Per point of an x and a y column, whether it lies inside the
+    closed collared disk (x0, center_y, r_outer) of a region, up to
+    slack."""
     x0, cy, r_outer = collar
-    return math.hypot(x - x0, y - cy) <= r_outer + slack
+    return [math.hypot(x - x0, y - cy) <= r_outer + slack for x, y in zip(xs, ys)]
 
 
 def _deeper_in_reach(stack, collars, tol: float) -> list:
@@ -286,18 +329,19 @@ def _deeper_in_reach(stack, collars, tol: float) -> list:
 
 def _sample_columns(scene: Scene) -> tuple:
     """Deterministic probe points on the drawn geometry, in scene order,
-    as an x and a y column."""
+    as an x and a y column.  Each height and abscissa is read off the
+    grid as one correctly rounded division, the float of its exact
+    value."""
+    g = scene.grid
     xs, ys = [], []
-    for s in scene.segments:
-        y, lo, hi = float(s.y), float(s.x_lo), float(s.x_hi)
-        for f in _SEGMENT_STEPS:
-            xs.append(lo + f * (hi - lo))
-            ys.append(y)
-    for j, (cy, r) in zip(scene.joins, scene.grid.bulges()):
-        x0, sgn = float(j.x0), 1 if j.side == "right" else -1
-        for t in _ARC_TURNS:
-            xs.append(x0 + sgn * r * math.cos(t))
-            ys.append(cy + r * math.sin(t))
+    for k in _rows(scene):
+        lo, hi = g.x_lo[k] / g.dx, g.x_hi[k] / g.dx
+        xs += [lo + f * (hi - lo) for f in _SEGMENT_STEPS]
+        ys += [g.ys[k] / g.dy] * len(_SEGMENT_STEPS)
+    for (_, side, _, _), (_, _, x0), (cy, r) in zip(g.ends, g.joins, g.bulges()):
+        x0, sgn = x0 / g.dx, 1 if side == "right" else -1
+        xs += [x0 + sgn * r * c for c, _ in _ARC_UNITS]
+        ys += [cy + r * s for _, s in _ARC_UNITS]
     return xs, ys
 
 
@@ -322,21 +366,27 @@ def support_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
     collars = [(r.x0, r.chart.center_y, r.chart.r_outer) for r in stack]
     # a deeper region out of a stage's reach is not asked about its moves
     deeper = _deeper_in_reach(stack, collars, tol)
-
-    def carved(k, x, y):
-        # inside stage k's collar but outside every deeper one (U_k)
-        return _in_collar(x, y, collars[k], tol) and not any(_in_collar(x, y, c, -tol) for c in deeper[k])
-
-    bad_support, bad_repeat = [], []
     moved = [j for j, hop in enumerate(sp.hop) if hop > _MOVE_TOL]
-    for i, run in groupby(moved, sp.point.__getitem__):
-        run = list(run)
-        for j in run:
-            k = sp.stage[j]
-            if not (carved(k, sp.bx[j], sp.by[j]) and carved(k, sp.ax[j], sp.ay[j])):
-                bad_support.append(((xs[i], ys[i]), stack[k].level))
-        if len(run) > 1:
-            bad_repeat.append(((xs[i], ys[i]), [stack[sp.stage[j]].level for j in run]))
+    by_stage: dict = {}
+    for j in moved:
+        by_stage.setdefault(sp.stage[j], []).append(j)
+    # per stage, the images before and after each of its moves, tested a
+    # column at a time: inside its collar but outside every deeper one (U_k)
+    outside = set()
+    for k, js in by_stage.items():
+        cx = [sp.bx[j] for j in js] + [sp.ax[j] for j in js]
+        cy = [sp.by[j] for j in js] + [sp.ay[j] for j in js]
+        ok = _in_collar(cx, cy, collars[k], tol)
+        for c in deeper[k]:
+            ok = [a and not b for a, b in zip(ok, _in_collar(cx, cy, c, -tol))]
+        outside.update(j for j, a, b in zip(js, ok, ok[len(js) :]) if not (a and b))
+    # moves come in (point, stage) order, so a point's moves are adjacent
+    at = [sp.point[j] for j in moved]
+    bad_support = [((xs[i], ys[i]), stack[sp.stage[j]].level) for i, j in zip(at, moved) if j in outside]
+    bad_repeat = [
+        ((xs[i], ys[i]), [stack[sp.stage[j]].level for j in moved[bisect_left(at, i) : bisect_right(at, i)]])
+        for i in dict.fromkeys(i for i, prev in zip(at[1:], at) if i == prev)
+    ]
     return {"ok": not bad_support and not bad_repeat, "samples": len(xs),
             "support_failures": bad_support, "repeat_movers": bad_repeat}
 
@@ -383,28 +433,54 @@ def cauchy_certificate(stack, scene: Scene, tol: float = 1e-9) -> dict:
     return {"ok": not bad, "samples": len(xs), "failures": bad}
 
 
+def _same(a: float, b: float) -> bool:
+    # equal bit for bit: 0.0 and -0.0 differ
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 def collapse_certificate(stack, scene: Scene, tol: float = 1e-6) -> dict:
-    """Every bulge lands on its own apex, one apex per radius."""
+    """Every bulge lands on its own apex, one apex per radius.
+
+    Where a region sits on its joins' own side, abscissa and center, bit
+    for bit (as every region ``build_glue_stack`` makes does), the scene's
+    samples hold its bulges' points at angles -1/2, 0 and 1/2: their
+    images are read from the sample pass, and only the other angles run
+    through the stages."""
+    g = scene.grid
     levels = dict(_levels(scene))
-    radii = [r for _, r in scene.grid.bulges()]
-    # per bulge its level and apex, then a point per angle on it
-    lv, apx, apy, xs, ys = [], [], [], [], []
+    bulges = g.bulges()
+    first = len(_SEGMENT_STEPS) * len(g.ys)  # the sample index of the first bulge point
+    # per bulge its level and apex; per point on it, its index in the
+    # sample pass, or the complement of its index in xs and ys
+    lv, apx, apy, at, xs, ys = [], [], [], [], [], []
     apexes: dict = {}  # per level, across regions: indices of apexes
+    sp = None
     for region in stack:
         sgn = 1 if region.side == "right" else -1
-        cy = region.chart.center_y
-        for a in levels[region.level]:
-            r = radii[a]
+        x0, cy = region.x0, region.chart.center_y
+        # a level's joins share one side and abscissa, the keys of its group
+        members = levels[region.level]
+        on_chart = g.ends[members[0]][1] == region.side and _same(x0, g.joins[members[0]][2] / g.dx)
+        for a in members:
+            jcy, r = bulges[a]
+            shared = on_chart and _same(cy, jcy)
             apexes.setdefault(region.level, []).append(len(apx))
             lv.append(region.level)
-            apx.append(region.x0 + sgn * r)
+            apx.append(x0 + sgn * r)
             apy.append(cy)
-            for t in _BULGE_TURNS:
-                xs.append(region.x0 + sgn * r * math.cos(t))
-                ys.append(cy + r * math.sin(t))
+            for (c, s), k in zip(_BULGE_UNITS, _BULGE_SAMPLES):
+                if shared and k is not None:
+                    at.append(first + len(_ARC_TURNS) * a + k)
+                else:
+                    at.append(~len(xs))
+                    xs.append(x0 + sgn * r * c)
+                    ys.append(cy + r * s)
+            if shared and sp is None:
+                sp = _sample_pass(stack, scene)[2]
     out = _moves(stack, xs, ys)
     bad = []
-    for n, qx, qy in zip(count(), out.x, out.y):
+    for n, k in enumerate(at):
+        qx, qy = (sp.x[k], sp.y[k]) if k >= 0 else (out.x[~k], out.y[~k])
         a = n // len(_BULGE_TURNS)
         if math.hypot(qx - apx[a], qy - apy[a]) > tol:
             bad.append((lv[a], _BULGE_ANGLES[n % len(_BULGE_TURNS)], (qx, qy), (apx[a], apy[a])))
@@ -457,45 +533,46 @@ def accessibility_probe(
         tail = parse_left(tail)
     if strict and tail != scene.context:
         raise WrongContext(f"strict probe targets the context {scene.context}, not {tail}")
+    # the target, and every first witness below, is sought in scene order
+    g, rows = scene.grid, _rows(scene)
     if scene.mode == "cylinders":
         word = tail.window(scene.depth)
-        target = next((s for s in scene.segments if s.word == word), None)
+        at = next((i for i, k in enumerate(rows) if g.words[k] == word), None)
     else:
-        target = next((s for s in scene.segments if s.tail == tail), None)
-    if target is None:
+        at = next((i for i, s in enumerate(scene.segments) if s.tail == tail), None)
+    if at is None:
         raise WrongContext(f"{tail} is not drawn in this scene")
-
+    t = rows[at]
+    lo, hi = g.x_lo[t] / g.dx, g.x_hi[t] / g.dx
     if x is None:
-        x = (float(target.x_lo) + float(target.x_hi)) / 2
-    elif not float(target.x_lo) - _PROBE_TOL <= x <= float(target.x_hi) + _PROBE_TOL:
+        x = (lo + hi) / 2
+    elif not lo - _PROBE_TOL <= x <= hi + _PROBE_TOL:
         raise WrongContext(f"probe abscissa {x} misses the target arc")
-    ty = float(target.y)  # the probe starts at height 2, above all of [0, 1]
+    ty = g.ys[t] / g.dy  # the probe starts at height 2, above all of [0, 1]
     witness = None
 
-    for s in scene.segments:
-        if s is target:
+    for k in rows:
+        # a grid height no greater than the target's (the target's own
+        # included) has a float no greater
+        if g.ys[k] <= g.ys[t]:
             continue
-        y = float(s.y)
-        if ty < y and float(s.x_lo) - _PROBE_TOL <= x <= float(s.x_hi) + _PROBE_TOL:
-            witness = {"kind": "segment", "label": s.label, "y": y}
+        y = g.ys[k] / g.dy
+        if ty < y and g.x_lo[k] / g.dx - _PROBE_TOL <= x <= g.x_hi[k] / g.dx + _PROBE_TOL:
+            witness = {"kind": "segment", "label": g.labels[k], "y": y}
             break
     if witness is None:
-        for j, (cy, r) in zip(scene.joins, scene.grid.bulges()):
-            dx = x - float(j.x0)
-            if j.side == "right" and dx < -_PROBE_TOL:
+        for (level, side, low, high), (_, _, x0), (cy, r) in zip(g.ends, g.joins, g.bulges()):
+            h = x - x0 / g.dx
+            if side == "right" and h < -_PROBE_TOL:
                 continue
-            if j.side == "left" and dx > _PROBE_TOL:
+            if side == "left" and h > _PROBE_TOL:
                 continue
-            if abs(dx) > r:
+            if abs(h) > r:
                 continue
-            arm = math.sqrt(max(r * r - dx * dx, 0.0))
+            arm = math.sqrt(max(r * r - h * h, 0.0))
             for y in (cy + arm, cy - arm):
                 if ty + _PROBE_TOL < y:
-                    witness = {
-                        "kind": "join",
-                        "join": (j.level, j.low.label, j.high.label),
-                        "y": y,
-                    }
+                    witness = {"kind": "join", "join": (level, low, high), "y": y}
                     break
             if witness:
                 break
@@ -514,5 +591,5 @@ def accessibility_probe(
             moved_hits = 1
             witness = {"kind": "glue-motion", "y": ys[nsamples - 1]}
 
-    return ProbeReport(accessible=witness is None, target_label=target.label, probe_x=x,
+    return ProbeReport(accessible=witness is None, target_label=g.labels[t], probe_x=x,
                        witness=witness, moved_stage_hits=moved_hits, samples=nsamples)

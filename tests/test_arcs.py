@@ -27,10 +27,12 @@ from tentplane import (
     resolve_x,
     validate_kneading,
 )
+from tentplane import arcs
 from tentplane.arcs import (
     TAU_INF,
     Join,
     Projection,
+    _flip_joins,
     _joint,
     _landing,
     flip_at,
@@ -41,7 +43,8 @@ from tentplane.arcs import (
     side_of_level,
     window_projection,
 )
-from tentplane.kneading import head_matches, kneading_from_text, tail_scan
+from tentplane.kneading import head_matches, kneading_from_text, scan_cylinders, tail_scan
+from tentplane.scene import _raise_slot
 from tentplane.sequences import Order, compare_right, parity, plex_compare, tails_equal_horizon
 
 GOLD = kneading_from_slope((1 + math.sqrt(5)) / 2)
@@ -250,6 +253,25 @@ def test_side_of_level_frozen():
     assert side_of_level(fig, 10) == "right"
     with pytest.raises(AmbiguousAtDepth):
         side_of_level(fig, 12)
+
+
+def test_flip_joins_look_up_each_level_once(monkeypatch):
+    scanned = scan_cylinders(GOLD, 10)
+    items = [(w, w, ks) for w, ks in scanned]
+    want = _flip_joins(items, GOLD, _raise_slot)
+    levels = {m for m, *_ in want}
+    assert len(want) > 5 * len(levels)
+    asked = []
+    monkeypatch.setattr(arcs, "side_of_level", lambda nu, m: asked.append(m) or side_of_level(nu, m))
+    assert _flip_joins(items, GOLD, _raise_slot) == want
+    assert sorted(asked) == sorted(levels)
+    assert all(side == side_of_level(GOLD, m) for m, side, _, _ in want)
+    # a level past a cut nu's validated depth raises at its first join, as
+    # side_of_level does
+    cut = KneadingSequence(GOLD.seq, validated_depth=3.0)
+    head = GOLD.expand(4)
+    with pytest.raises(AmbiguousAtDepth, match="^side of level 5 needs more of nu$"):
+        _flip_joins([("0" + head, "0" + head, [0, 4]), ("1" + head, "1" + head, [])], cut, _raise_slot)
 
 
 def test_flip_at_frozen():

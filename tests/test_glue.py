@@ -2,6 +2,7 @@
 import gc
 import math
 import random
+import sys
 import weakref
 from array import array
 from collections import Counter
@@ -34,7 +35,7 @@ from tentplane import (
     support_certificate,
 )
 from tentplane.arcs import Projection
-from tentplane.cantor import parse_ternary
+from tentplane.cantor import CantorCoordinate, parse_ternary
 from tentplane.glue import GlueRegion
 from tentplane.scene import Scene, SceneJoin, Segment
 from tentplane.sequences import LeftTail
@@ -73,8 +74,8 @@ def _collar(region):
 def _carved(stack, i, p, slack):
     # inside region i's collar but outside every deeper one (U_i), as
     # support_certificate composes its collar tests
-    return glue._in_collar(*p, _collar(stack[i]), slack) and not any(
-        glue._in_collar(*p, _collar(r), -slack) for r in stack[i + 1 :])
+    return glue._in_collar([p[0]], [p[1]], _collar(stack[i]), slack)[0] and not any(
+        glue._in_collar([p[0]], [p[1]], _collar(r), -slack)[0] for r in stack[i + 1 :])
 
 
 # ----------------------------------------------------------------- profile
@@ -290,8 +291,8 @@ def test_stage_preserves_radius():
 
 def test_region_membership():
     big = GlueRegion(1, "right", 0.5, Fraction(4, 5), (Fraction(1, 4),), 0.5)
-    assert glue._in_collar(0.5, 0.8, _collar(big), 0.0)
-    assert not glue._in_collar(0.5 + float(_ref_r_outer(big)) + 0.01, 0.8, _collar(big), 0.0)
+    assert glue._in_collar([0.5], [0.8], _collar(big), 0.0) == [True]
+    assert glue._in_collar([0.5 + float(_ref_r_outer(big)) + 0.01], [0.8], _collar(big), 0.0) == [False]
     stack = [
         GlueRegion(1, "right", 0.0, Fraction(1, 2), (Fraction(1, 4),), 1e-6),
         GlueRegion(2, "right", 0.0, Fraction(1, 2), (Fraction(1, 8),), 1e-6),
@@ -583,9 +584,9 @@ def test_certificates_agree_with_reference(make):
 def test_support_asks_only_deeper_regions_in_reach(monkeypatch):
     sc = build_scene(GOLD, "(101).", depth=7)
     stack = build_glue_stack(sc)
-    calls = []
+    calls = []  # one entry per point tested against a collar
     real = glue._in_collar
-    monkeypatch.setattr(glue, "_in_collar", lambda x, y, c, slack: calls.append(c) or real(x, y, c, slack))
+    monkeypatch.setattr(glue, "_in_collar", lambda x, y, c, slack: calls.extend(c for _ in x) or real(x, y, c, slack))
     sp = glue._sample_pass(stack, sc)[2]
     for tol in (1e-6, 0.0, -1e-3):
         calls.clear()
@@ -624,10 +625,11 @@ def test_certificates_share_one_sample_pass(monkeypatch):
     # below starts without one for (stack, sc)
     support_certificate(stack[:-1], sc)
     samples, joins = list(zip(*real_columns(sc))), len(sc.joins)
-    # one pass over the samples on a memo miss, shared by four
-    # certificates; one pass over five points per join for collapse; the
-    # samples are made on a miss only
-    for expected, conversions in (([len(samples), 5 * joins], 1), ([5 * joins], 0)):
+    # one pass over the samples on a memo miss, shared by all five
+    # certificates; collapse reads three of its five points per join from
+    # that pass and runs the other two itself; the samples are made on a
+    # miss only
+    for expected, conversions in (([len(samples), 2 * joins], 1), ([2 * joins], 0)):
         passes.clear()
         squeezed.clear()
         converted.clear()
@@ -754,9 +756,37 @@ def test_passes_hold_no_tracked_object_per_sample(monkeypatch):
     monkeypatch.setattr(glue, "_moves", kept)
     assert collapse_certificate(stack, sc)["ok"]
     assert accessibility_probe(sc, stack).accessible
-    assert [len(xs) for xs, _, _ in seen] == [5 * len(sc.joins), 64]
+    assert [len(xs) for xs, _, _ in seen] == [2 * len(sc.joins), 64]
     for xs, ys, out in seen:
         assert _untracked_columns(xs, ys, *out)
+
+
+def test_glue_builds_no_scene_objects(monkeypatch):
+    # the stack, all five certificates and the strict probe read a clean
+    # cylinder scene's grid alone: no Segment, SceneJoin or CantorCoordinate
+    made = Counter()
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            made[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for cls in (Segment, SceneJoin, CantorCoordinate):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    # cantor._block makes a CantorCoordinate without __init__
+    block = sys.modules["tentplane.cantor"]._block
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("tentplane") and getattr(mod, "_block", None) is block:
+            monkeypatch.setattr(mod, "_block", counting("CantorCoordinate", block))
+    sc = build_scene(GOLD, "(101).", depth=7)
+    stack = build_glue_stack(sc)
+    for fn in CERTS:
+        assert fn(stack, sc)["ok"], fn.__name__
+    report = accessibility_probe(sc, stack)
+    assert report.accessible and report.target_label == sc.context.window(7)
+    assert made == Counter(), made
+    assert "segments" not in vars(sc) and "joins" not in vars(sc)
 
 
 def test_sample_pass_dies_with_its_scene():
@@ -812,8 +842,8 @@ def test_chart_maps_agree_with_reference(make, most_radii):
         # on a bulge's top the whole pull lands on its apex
         tops = [(0.0, rho) for rho in r.chart.radii] + [(sgn * rho, 0.0) for rho in r.chart.radii]
         assert _images([r], tops) == [(sgn * rho, 0.0) for rho in r.chart.radii] * 2
-        assert glue._in_collar(r.chart.r_outer, 0.0, _collar(r), 0.0)
-        assert not glue._in_collar(math.nextafter(r.chart.r_outer, 2.0), 0.0, _collar(r), 0.0)
+        assert glue._in_collar([r.chart.r_outer], [0.0], _collar(r), 0.0) == [True]
+        assert glue._in_collar([math.nextafter(r.chart.r_outer, 2.0)], [0.0], _collar(r), 0.0) == [False]
         for rho in _edge_radii(r):
             edges[id(r)] += [(0.0, rho), (sgn * rho, 0.0), (-sgn * rho, 0.0), (0.0, -rho)]
     for r in built + origin:
@@ -821,7 +851,7 @@ def test_chart_maps_agree_with_reference(make, most_radii):
         assert _images([r], points) == [_ref_stage_map(r, p) for p in points]
         for p in points:
             for slack in (0.0, 1e-6):
-                assert glue._in_collar(*p, _collar(r), slack) == _ref_in_region(r, p, slack)
+                assert glue._in_collar([p[0]], [p[1]], _collar(r), slack) == [_ref_in_region(r, p, slack)]
     for stack in (built, built[::-1], built + built, origin):
         for i, r in enumerate(stack):
             for p in samples + edges[id(r)]:

@@ -44,7 +44,7 @@ from tentplane import (
     scene_to_json,
     verify_noncrossing,
 )
-from tentplane.arcs import Join, _landing, flip_at, match_window, scan_tails, side_of_level
+from tentplane.arcs import Join, _landing, flip_at, match_window, orbit_compare, scan_tails, side_of_level
 from tentplane.cantor import CantorCoordinate
 from tentplane.cli import main
 from tentplane.kneading import head_matches, kneading_from_text, tail_scan
@@ -728,25 +728,27 @@ def test_scene_is_immutable():
 
 
 def test_checkers_are_output_sensitive(monkeypatch):
-    # a clean scene: each segment answers last(m) at most once per level,
+    # a clean scene: each segment's word is read at most once per level,
     # and no chart needs the pairwise join-join comparison
     sc = build_scene(kneading_from_text("(101)"), "(1).", depth=14)
     calls = Counter()
-    last, interleaved = Segment.last, scene_module._interleaved
+    interleaved = scene_module._interleaved
 
-    def counted_last(self, k):
-        calls["last"] += 1
-        return last(self, k)
+    class Words(list):
+        # the grid's words column, counting its reads
+        def __getitem__(self, k):
+            calls["words"] += 1
+            return list.__getitem__(self, k)
 
     def counted_interleaved(a, b):
         calls["interleaved"] += 1
         return interleaved(a, b)
 
-    monkeypatch.setattr(Segment, "last", counted_last)
+    vars(sc)["grid"] = sc.grid._replace(words=Words(sc.grid.words))
     monkeypatch.setattr(scene_module, "_interleaved", counted_interleaved)
     assert verify_noncrossing(sc) == [] and betweenness_check(sc) == []
     levels = {j.level for j in sc.joins}
-    assert calls["last"] <= len(sc.segments) * len(levels), (calls, len(sc.segments), len(levels))
+    assert 0 < calls["words"] <= len(sc.segments) * len(levels), (calls, len(sc.segments), len(levels))
     assert calls["interleaved"] == 0
     # the shared-end charts of a fan fall back to the pairwise scan
     assert verify_noncrossing(_fan(sc, random.Random(0))) and calls["interleaved"] > 0
@@ -1102,26 +1104,103 @@ def test_clean_checkers_build_no_scene_objects(monkeypatch):
 EMBEDDING_NUS = ("1(0)", "10(1)", "(101)", "(100111)", "(10111)", "(1001)")
 
 
+def _refinement_violations(parent, child, orbit=None) -> list:
+    """ROADMAP item 6's checks between a depth-n scene and the depth-(n + 1)
+    scene of one nu and context, where the depth-(n + 1) word w is a child
+    of the depth-n word w[1:]:
+
+    (a) the children come in their parents' height order;
+    (b) each child's extent lies inside its parent's, its ``lo_index`` and
+        ``hi_index`` orbit points compared with ``orbit_compare`` (rank x
+        is a per-scene coordinate, so x itself cannot be compared);
+    (c) each depth-n join has a depth-(n + 1) join at its level whose
+        ends' parents are its ends.
+
+    ``orbit``, a dict, memoizes orbit comparisons across calls; (b) is
+    skipped without it."""
+    out = []
+    by = {s.word: (k, s.projection) for k, s in enumerate(parent.segments)}
+    order = [by[s.word[1:]][0] for s in child.segments]
+    out += [("a", child.segments[k].word) for k in range(1, len(order)) if order[k] < order[k - 1]]
+    if orbit is not None:
+        def below(i, j):
+            # T^i(c) lies left of T^j(c) or on it
+            if (i, j) not in orbit:
+                c = orbit_compare(i, j, child.nu)
+                orbit[i, j] = c.decided and c.order <= 0
+            return orbit[i, j]
+        for s in child.segments:
+            p = by[s.word[1:]][1]
+            if not (below(p.lo_index, s.projection.lo_index) and below(s.projection.hi_index, p.hi_index)):
+                out.append(("b", s.word))
+    joined = {(j.level, j.low.word[1:], j.high.word[1:]) for j in child.joins}
+    out += [("c", j.level, j.low.word, j.high.word) for j in parent.joins
+            if (j.level, j.low.word, j.high.word) not in joined]
+    return out
+
+
 def test_one_embedding_across_depths():
-    # the depth-(n + 1) word w is a child of the depth-n word w[1:]: the
-    # children come in their parents' height order, and each depth-n join
-    # has a depth-(n + 1) join at its level whose ends' parents are its ends
-    arcs, pairs = 0, 0
+    # 0 violations of (a), (b) and (c) from depth 2 -> 3 to 9 -> 10; (b)
+    # reads no context, so it runs under each nu's first context only
+    arcs, pairs, inside, strict = 0, 0, 0, 0
     for text in EMBEDDING_NUS:
         nu = kneading_from_text(text)
+        orbit, first = {}, None
         for ctx in ("(1).", "(011)0."):
             if not is_admissible_tail(parse_left(ctx), nu):
                 continue
             pairs += 1
+            first = first or ctx
             parent = build_scene(nu, ctx, depth=2)
             for n in range(3, 11):
                 child = build_scene(nu, ctx, depth=n)
-                rank = {s.word: k for k, s in enumerate(parent.segments)}
-                order = [rank[s.word[1:]] for s in child.segments]
-                assert order == sorted(order), (text, ctx, n)
-                below = {(j.level, j.low.word[1:], j.high.word[1:]) for j in child.joins}
-                for j in parent.joins:
-                    assert (j.level, j.low.word, j.high.word) in below, (text, ctx, n, j.level)
+                found = _refinement_violations(parent, child, orbit if ctx == first else None)
+                assert found == [], (text, ctx, n, found[:3])
+                if ctx == first:
+                    ends = {s.word: (s.projection.lo_index, s.projection.hi_index) for s in parent.segments}
+                    inside += len(child.segments)
+                    strict += sum(ends[s.word[1:]] != (s.projection.lo_index, s.projection.hi_index)
+                                  for s in child.segments)
                 arcs += len(child.segments)
                 parent = child
     assert pairs == 10 and arcs > 9_000, (pairs, arcs)
+    assert inside > 4_000 and strict > 0, (inside, strict)
+
+
+def test_refinement_checks_catch_mutants():
+    # each mutant of a clean depth-7 child fails the check it breaks
+    nu = kneading_from_text("(101)")
+    parent, child = build_scene(nu, "(1).", depth=6), build_scene(nu, "(1).", depth=7)
+    orbit = {}
+    assert _refinement_violations(parent, child, orbit) == []
+    segs = list(child.segments)
+    rank = {s.word: k for k, s in enumerate(parent.segments)}
+
+    # two heights swapped: the lowest child and the first whose parent is
+    # higher than its own trade heights, and the segments are re-sorted
+    low = segs[0]
+    high = next(s for s in segs if rank[s.word[1:]] > rank[low.word[1:]])
+    swap = {low.word: high.y, high.word: low.y}
+    swapped = sorted((dataclasses.replace(s, y=swap.get(s.word, s.y)) for s in segs), key=lambda s: s.y.value)
+    kinds = {v[0] for v in _refinement_violations(parent, dataclasses.replace(child, segments=swapped), orbit)}
+    assert "a" in kinds, kinds
+
+    # a projection widened: a child's left end moved to an orbit point
+    # left of its parent's
+    points = range(1, 9)
+    for k, s in enumerate(segs):
+        lo = parent.segments[rank[s.word[1:]]].projection.lo_index
+        left = [i for i in points if orbit_compare(i, lo, nu).order < 0]
+        if left:
+            wide = dataclasses.replace(s.projection, lo_index=left[0])
+            break
+    widened = segs[:k] + [dataclasses.replace(s, projection=wide)] + segs[k + 1 :]
+    found = _refinement_violations(parent, dataclasses.replace(child, segments=widened), orbit)
+    assert ("b", s.word) in found, found
+
+    # a join dropped: every child join under one parent join
+    j = parent.joins[len(parent.joins) // 2]
+    kept = [c for c in child.joins if (c.level, c.low.word[1:], c.high.word[1:]) != (j.level, j.low.word, j.high.word)]
+    assert len(kept) < len(child.joins)
+    found = _refinement_violations(parent, dataclasses.replace(child, joins=kept), orbit)
+    assert found == [("c", j.level, j.low.word, j.high.word)], found
